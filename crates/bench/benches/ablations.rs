@@ -115,7 +115,7 @@ fn bench_rvc_density(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_dse_parallel(c: &mut Criterion) {
+fn bench_dse_scaling(c: &mut Criterion) {
     // Tentpole ablation: the batched DSE engine at 1/2/4/8 workers.
     // Fronts are bit-identical across rows; only wall-clock moves. A
     // fresh study per iteration keeps the memo cache cold so every
@@ -184,7 +184,7 @@ criterion_group!(
     bench_cache_sweep,
     bench_bpred_sweep,
     bench_rvc_density,
-    bench_dse_parallel,
+    bench_dse_scaling,
     bench_surrogate
 );
 criterion_main!(benches);

@@ -2,9 +2,9 @@
 //!
 //! Usage: `fig4_mnv2_ladder [--input-hw N] [--threads N]
 //! [--no-decode-cache]` (default input 96, the paper's resolution; use
-//! 32 or 48 for a quick look). With `--threads N` the ladder runs
-//! through the parallel DSE engine (byte-identical rows, steps
-//! evaluated on N workers, a live step counter on stderr).
+//! 32 or 48 for a quick look). The ladder runs through the DSE engine:
+//! one inline worker by default, N workers with `--threads N`
+//! (byte-identical rows, plus a live step counter on stderr).
 //! `--no-decode-cache` disables the ISS predecoded-trace fast path —
 //! the escape hatch for bisecting simulator-speed regressions; every
 //! row and the CSV are byte-identical either way (pinned in
@@ -15,124 +15,49 @@
 //! prior results from it, so a warm re-run performs zero simulations
 //! while printing byte-identical rows.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
-
-use cfu_dse::{ResultStore, StudyStore};
+use cfu_bench::cli::{ladder_progress, Cli, StoreFlags};
+use cfu_bench::fig4;
 use cfu_sim::CpuConfig;
 
 fn main() {
+    let mut cli = Cli::new(
+        "--input-hw N --full-width --csv PATH --svg PATH --threads N --no-decode-cache --store PATH --resume",
+    );
     let mut input_hw = 96;
     let mut full_width = false;
     let mut csv_path: Option<String> = None;
     let mut svg_path: Option<String> = None;
     let mut threads: Option<usize> = None;
-    let mut store_path: Option<String> = None;
-    let mut resume = false;
+    let mut store_flags = StoreFlags::default();
     let mut decode_cache = true;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--input-hw" => {
-                input_hw =
-                    args.next().and_then(|v| v.parse().ok()).expect("--input-hw needs an integer");
-            }
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
+            "--input-hw" => input_hw = cli.int(&flag),
             "--full-width" => full_width = true,
             "--no-decode-cache" => decode_cache = false,
-            "--csv" => {
-                csv_path = Some(args.next().expect("--csv needs a path"));
-            }
-            "--svg" => {
-                svg_path = Some(args.next().expect("--svg needs a path"));
-            }
-            "--threads" => {
-                threads = Some(
-                    args.next().and_then(|v| v.parse().ok()).expect("--threads needs an integer"),
-                );
-            }
-            "--store" => {
-                store_path = Some(args.next().expect("--store needs a path"));
-            }
-            "--resume" => resume = true,
-            other => {
-                eprintln!("unknown flag {other}; supported: --input-hw N --full-width --csv PATH --svg PATH --threads N --no-decode-cache --store PATH --resume");
-                std::process::exit(2);
-            }
+            "--csv" => csv_path = Some(cli.path(&flag)),
+            "--svg" => svg_path = Some(cli.path(&flag)),
+            "--threads" => threads = Some(cli.int(&flag)),
+            "--store" => store_flags.path = Some(cli.path(&flag)),
+            "--resume" => store_flags.resume = true,
+            _ => cli.unknown(&flag),
         }
     }
-    if resume && store_path.is_none() {
-        eprintln!("--resume requires --store PATH");
-        std::process::exit(2);
-    }
     let cpu = CpuConfig::arty_default().with_decode_cache(decode_cache);
-    let store = store_path.as_deref().map(|path| {
-        let file = ResultStore::open(path).unwrap_or_else(|e| {
-            eprintln!("cannot open result store {path}: {e}");
-            std::process::exit(2);
-        });
-        let ctx = cfu_bench::fig4::store_context(cpu, input_hw, full_width);
-        Arc::new(StudyStore::new(Arc::new(file), ctx).with_resume(resume))
-    });
+    let store = store_flags.study(&cli, fig4::store_context(cpu, input_hw, full_width));
     let width = if full_width { "1.0" } else { "0.35" };
     println!("Figure 4 — MobileNetV2 (width {width}) 1x1 CONV_2D ladder (Arty A7-35T, {input_hw}x{input_hw} input)");
     println!("paper reference speedups: SW 2.0x, CFU postproc 2.3x, CFU MAC4 9.8x,");
     println!("MAC4Run1 26x, Incl postproc 31.1x, Overlap input 55x; overall MNV2 3x\n");
-    let rows = match (threads, &store) {
-        (Some(n), _) => {
-            // Live step counter on stderr (stdout stays byte-identical
-            // to the serial driver); quick runs finish before a tick.
-            let total = cfu_bench::fig4::ladder_len();
-            let progress = Arc::new(AtomicU64::new(0));
-            let watched = Arc::clone(&progress);
-            let done = AtomicBool::new(false);
-            std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    let mut last = 0;
-                    while !done.load(Ordering::Relaxed) {
-                        std::thread::sleep(Duration::from_millis(500));
-                        let snap = watched.load(Ordering::Relaxed);
-                        if snap != last {
-                            eprintln!("progress: {snap}/{total} ladder steps");
-                            last = snap;
-                        }
-                    }
-                });
-                let rows = cfu_bench::fig4::run_ladder_parallel_stored(
-                    cpu,
-                    input_hw,
-                    full_width,
-                    n,
-                    Some(progress),
-                    store.clone(),
-                );
-                done.store(true, Ordering::Relaxed);
-                rows
-            })
-        }
-        // A store without --threads still routes through the engine
-        // (one worker): the engine and serial drivers are pinned
-        // byte-identical, and only the engine records into the store.
-        (None, Some(_)) => cfu_bench::fig4::run_ladder_parallel_stored(
-            cpu,
-            input_hw,
-            full_width,
-            1,
-            None,
-            store.clone(),
-        ),
-        (None, None) => cfu_bench::fig4::run_ladder_configured(cpu, input_hw, full_width),
-    };
-    if let (Some(path), Some(handle)) = (&store_path, &store) {
-        eprintln!(
-            "store: {path}: {} prior result(s) loaded, {} new result(s) appended",
-            handle.hydrated(),
-            handle.appended()
-        );
+    let rows = ladder_progress(threads.is_some(), fig4::ladder_len(), |progress| {
+        fig4::run_ladder(cpu, input_hw, full_width, threads.unwrap_or(1), progress, store.clone())
+    });
+    if let Some(handle) = &store {
+        store_flags.print_summary(handle.hydrated(), handle.appended(), None);
     }
-    print!("{}", cfu_bench::fig4::render(&rows));
+    print!("{}", fig4::render(&rows));
     if let Some(path) = csv_path {
-        std::fs::write(&path, cfu_bench::fig4::to_csv(&rows)).expect("write csv");
+        std::fs::write(&path, fig4::to_csv(&rows)).expect("write csv");
         println!("\nwrote {path}");
     }
     if let Some(path) = svg_path {

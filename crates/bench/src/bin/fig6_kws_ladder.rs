@@ -1,101 +1,47 @@
 //! Regenerates Figure 6: the Keyword-Spotting ladder on Fomu.
 //!
 //! Usage: `fig6_kws_ladder [--csv PATH] [--svg PATH] [--threads N]
-//! [--store PATH] [--resume]`. With `--threads N` the ladder runs
-//! through the parallel DSE engine (byte-identical rows, steps
-//! evaluated on N workers, a live step counter on stderr). `--store
+//! [--store PATH] [--resume]`. The ladder runs through the DSE engine:
+//! one inline worker by default, N workers with `--threads N`
+//! (byte-identical rows, plus a live step counter on stderr). `--store
 //! PATH` persists every freshly simulated step to an append-only
 //! result store; `--resume` additionally hydrates prior results from
 //! it, so a warm re-run performs zero simulations while printing
 //! byte-identical rows.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
-
-use cfu_dse::{ResultStore, StudyStore};
+use cfu_bench::cli::{ladder_progress, Cli, StoreFlags};
+use cfu_bench::fig6;
 
 fn main() {
-    let (csv_path, svg_path, threads, store_path, resume) = {
-        let mut args = std::env::args().skip(1);
-        let (mut csv, mut svg, mut threads) = (None, None, None);
-        let (mut store, mut resume) = (None, false);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--csv" => csv = args.next(),
-                "--svg" => svg = args.next(),
-                "--threads" => {
-                    threads = Some(
-                        args.next()
-                            .and_then(|v| v.parse().ok())
-                            .expect("--threads needs an integer"),
-                    );
-                }
-                "--store" => store = Some(args.next().expect("--store needs a path")),
-                "--resume" => resume = true,
-                _ => {}
-            }
+    let mut cli = Cli::new("--csv PATH --svg PATH --threads N --store PATH --resume");
+    let mut csv_path: Option<String> = None;
+    let mut svg_path: Option<String> = None;
+    let mut threads: Option<usize> = None;
+    let mut store_flags = StoreFlags::default();
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
+            "--csv" => csv_path = Some(cli.path(&flag)),
+            "--svg" => svg_path = Some(cli.path(&flag)),
+            "--threads" => threads = Some(cli.int(&flag)),
+            "--store" => store_flags.path = Some(cli.path(&flag)),
+            "--resume" => store_flags.resume = true,
+            _ => cli.unknown(&flag),
         }
-        (csv, svg, threads, store, resume)
-    };
-    if resume && store_path.is_none() {
-        eprintln!("--resume requires --store PATH");
-        std::process::exit(2);
     }
-    let store = store_path.as_deref().map(|path| {
-        let file = ResultStore::open(path).unwrap_or_else(|e| {
-            eprintln!("cannot open result store {path}: {e}");
-            std::process::exit(2);
-        });
-        let ctx = cfu_bench::fig6::store_context();
-        Arc::new(StudyStore::new(Arc::new(file), ctx).with_resume(resume))
-    });
+    let store = store_flags.study(&cli, fig6::store_context());
     println!("Figure 6 — MLPerf Tiny KWS (DS-CNN) ladder on Fomu (iCE40UP5k, 12 MHz)");
     println!("paper reference: QuadSPI 3.04x, SRAM Ops+Model 7.84x, Larger Icache 8.3x,");
     println!("Fast Mult 15.35x, MAC Conv 32.10x, Post Proc 37.64x, final 75x");
     println!("(baseline 2.5 min -> <2 s; only ~3x of the 75x from the CFU itself)\n");
-    let rows = match (threads, &store) {
-        (Some(n), _) => {
-            // Live step counter on stderr (stdout stays byte-identical
-            // to the serial driver); quick runs finish before a tick.
-            let total = cfu_bench::fig6::ladder_len();
-            let progress = Arc::new(AtomicU64::new(0));
-            let watched = Arc::clone(&progress);
-            let done = AtomicBool::new(false);
-            std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    let mut last = 0;
-                    while !done.load(Ordering::Relaxed) {
-                        std::thread::sleep(Duration::from_millis(500));
-                        let snap = watched.load(Ordering::Relaxed);
-                        if snap != last {
-                            eprintln!("progress: {snap}/{total} ladder steps");
-                            last = snap;
-                        }
-                    }
-                });
-                let rows =
-                    cfu_bench::fig6::run_ladder_parallel_stored(n, Some(progress), store.clone());
-                done.store(true, Ordering::Relaxed);
-                rows
-            })
-        }
-        // A store without --threads still routes through the engine
-        // (one worker): the engine and serial drivers are pinned
-        // byte-identical, and only the engine records into the store.
-        (None, Some(_)) => cfu_bench::fig6::run_ladder_parallel_stored(1, None, store.clone()),
-        (None, None) => cfu_bench::fig6::run_ladder(),
-    };
-    if let (Some(path), Some(handle)) = (&store_path, &store) {
-        eprintln!(
-            "store: {path}: {} prior result(s) loaded, {} new result(s) appended",
-            handle.hydrated(),
-            handle.appended()
-        );
+    let rows = ladder_progress(threads.is_some(), fig6::ladder_len(), |progress| {
+        fig6::run_ladder(threads.unwrap_or(1), progress, store.clone())
+    });
+    if let Some(handle) = &store {
+        store_flags.print_summary(handle.hydrated(), handle.appended(), None);
     }
-    print!("{}", cfu_bench::fig6::render(&rows));
+    print!("{}", fig6::render(&rows));
     if let Some(path) = &csv_path {
-        std::fs::write(path, cfu_bench::fig6::to_csv(&rows)).expect("write csv");
+        std::fs::write(path, fig6::to_csv(&rows)).expect("write csv");
         println!("wrote {path}");
     }
     if let Some(path) = &svg_path {

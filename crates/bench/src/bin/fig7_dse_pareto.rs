@@ -27,73 +27,39 @@
 //! Setting `CFU_FAULT_PLAN` (e.g. `"trap@3,panic@7"`) injects
 //! deterministic evaluation faults for smoke-testing this machinery.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-use cfu_bench::fig7::{
-    merged_report, render, run_all_faulted, Fig7Config, Fig7Progress, Fig7Store,
-};
-use cfu_dse::{FaultPlan, ResultStore};
+use cfu_bench::cli::{poll_while, Cli, StoreFlags, PROGRESS_INTERVAL};
+use cfu_bench::fig7::{merged_report, render, run_all, Fig7Config, Fig7Progress, Fig7Store};
+use cfu_dse::FaultPlan;
 
 fn main() {
+    let mut cli = Cli::new(
+        "--trials N --input-hw N --threads N --random --retime --no-retime --max-retries N --fail-fast --cycle-budget N --csv PATH --svg PATH --store PATH --resume",
+    );
     let mut cfg = Fig7Config::default();
     let mut csv_path: Option<String> = None;
     let mut svg_path: Option<String> = None;
-    let mut store_path: Option<String> = None;
-    let mut resume = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--trials" => {
-                cfg.trials =
-                    args.next().and_then(|v| v.parse().ok()).expect("--trials needs an integer");
-            }
-            "--input-hw" => {
-                cfg.input_hw =
-                    args.next().and_then(|v| v.parse().ok()).expect("--input-hw needs an integer");
-            }
-            "--threads" => {
-                cfg.threads =
-                    args.next().and_then(|v| v.parse().ok()).expect("--threads needs an integer");
-            }
+    let mut store_flags = StoreFlags::default();
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
+            "--trials" => cfg.trials = cli.int(&flag),
+            "--input-hw" => cfg.input_hw = cli.int(&flag),
+            "--threads" => cfg.threads = cli.int(&flag),
             "--random" => cfg.evolutionary = false,
             "--retime" => cfg.retime = true,
             "--no-retime" => cfg.retime = false,
-            "--max-retries" => {
-                cfg.max_retries = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--max-retries needs an integer");
-            }
+            "--max-retries" => cfg.max_retries = cli.int(&flag),
             "--fail-fast" => cfg.fail_fast = true,
-            "--cycle-budget" => {
-                cfg.cycle_budget = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--cycle-budget needs an integer"),
-                );
-            }
-            "--csv" => {
-                csv_path = Some(args.next().expect("--csv needs a path"));
-            }
-            "--svg" => {
-                svg_path = Some(args.next().expect("--svg needs a path"));
-            }
-            "--store" => {
-                store_path = Some(args.next().expect("--store needs a path"));
-            }
-            "--resume" => resume = true,
-            other => {
-                eprintln!("unknown flag {other}; supported: --trials N --input-hw N --threads N --random --retime --no-retime --max-retries N --fail-fast --cycle-budget N --csv PATH --svg PATH --store PATH --resume");
-                std::process::exit(2);
-            }
+            "--cycle-budget" => cfg.cycle_budget = Some(cli.int(&flag)),
+            "--csv" => csv_path = Some(cli.path(&flag)),
+            "--svg" => svg_path = Some(cli.path(&flag)),
+            "--store" => store_flags.path = Some(cli.path(&flag)),
+            "--resume" => store_flags.resume = true,
+            _ => cli.unknown(&flag),
         }
     }
-    if resume && store_path.is_none() {
-        eprintln!("--resume requires --store PATH");
-        std::process::exit(2);
-    }
+    let file = store_flags.open(&cli);
     let fault_plan = match std::env::var("CFU_FAULT_PLAN") {
         Ok(spec) if !spec.trim().is_empty() => match FaultPlan::from_spec(&spec) {
             Ok(plan) => {
@@ -107,13 +73,8 @@ fn main() {
         },
         _ => None,
     };
-    let store = store_path.as_deref().map(|path| {
-        let file = ResultStore::open(path).unwrap_or_else(|e| {
-            eprintln!("cannot open result store {path}: {e}");
-            std::process::exit(2);
-        });
-        Fig7Store::with_fault_plan(Arc::new(file), cfg.input_hw, resume, fault_plan.clone())
-    });
+    let store =
+        file.map(|file| Fig7Store::new(file, cfg.input_hw, store_flags.resume, fault_plan.clone()));
     let space = cfu_dse::DesignSpace::paper_scale();
     println!("Figure 7 — DSE of CPU vs CFU configurations (MobileNetV2 workload)");
     println!(
@@ -123,25 +84,19 @@ fn main() {
         if cfg.evolutionary { "regularized evolution" } else { "random search" },
         cfg.threads.max(1)
     );
-    // Live per-curve counters on stderr (stdout stays byte-identical to
-    // the serial driver); quick runs finish before the first tick.
+    // Live per-curve counters on stderr (stdout stays byte-identical at
+    // any thread count); quick runs finish before the first tick.
     let progress = Fig7Progress::new();
-    let done = AtomicBool::new(false);
-    let curves = std::thread::scope(|scope| {
-        scope.spawn(|| {
-            let mut last = [0u64; 3];
-            while !done.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(500));
-                let snap = progress.snapshot();
-                if snap != last {
-                    eprintln!("progress: {}", progress.render(cfg.trials));
-                    last = snap;
-                }
-            }
-        });
-        let curves = run_all_faulted(&cfg, &progress, store.as_ref(), fault_plan.as_ref());
-        done.store(true, Ordering::Relaxed);
-        curves
+    let mut last = [0u64; 3];
+    let tick = || {
+        let snap = progress.snapshot();
+        if snap != last {
+            eprintln!("progress: {}", progress.render(cfg.trials));
+            last = snap;
+        }
+    };
+    let curves = poll_while(PROGRESS_INTERVAL, tick, || {
+        run_all(&cfg, &progress, store.as_ref(), fault_plan.as_ref())
     });
     if cfg.retime {
         let (captures, replays): (u64, u64) = (0..3)
@@ -150,13 +105,8 @@ fn main() {
             .fold((0, 0), |(c, r), (dc, dr)| (c + dc, r + dr));
         eprintln!("retime: {captures} capture run(s), {replays} point(s) scored by trace replay");
     }
-    if let (Some(path), Some(store)) = (&store_path, &store) {
-        eprintln!(
-            "store: {path}: {} prior result(s) loaded, {} new result(s) appended, {} tombstone(s)",
-            store.hydrated(),
-            store.appended(),
-            store.tombstoned()
-        );
+    if let Some(store) = &store {
+        store_flags.print_summary(store.hydrated(), store.appended(), Some(store.tombstoned()));
     }
     let report = merged_report(&curves);
     eprintln!("{}", report.render());

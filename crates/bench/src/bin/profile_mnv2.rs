@@ -3,13 +3,15 @@
 //!
 //! Usage: `profile_mnv2 [--input-hw N]` (default 96).
 
+use cfu_bench::cli::Cli;
+
 fn main() {
+    let mut cli = Cli::new("--input-hw N");
     let mut input_hw = 96;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--input-hw" {
-            input_hw =
-                args.next().and_then(|v| v.parse().ok()).expect("--input-hw needs an integer");
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
+            "--input-hw" => input_hw = cli.int(&flag),
+            _ => cli.unknown(&flag),
         }
     }
     println!("E1 — unaccelerated MobileNetV2 profile on Arty A7-35T ({input_hw}x{input_hw})\n");

@@ -3,8 +3,17 @@
 //!
 //! Usage: `table_mlperf_models [--fast]` (`--fast` shrinks MobileNetV2).
 
+use cfu_bench::cli::Cli;
+
 fn main() {
-    let fast = std::env::args().any(|a| a == "--fast");
+    let mut cli = Cli::new("--fast");
+    let mut fast = false;
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
+            "--fast" => fast = true,
+            _ => cli.unknown(&flag),
+        }
+    }
     println!("E7 — MLPerf Tiny stock models, baseline (generic kernels, Arty)\n");
     let rows = cfu_bench::tables::mlperf_tiny_inventory(fast);
     print!("{}", cfu_bench::tables::render_inventory(&rows));

@@ -1,29 +1,28 @@
-//! Figure 6: Keyword-Spotting speedup and resource usage on Fomu.
+//! Figure 6: Keyword-Spotting speedup and resource usage on Fomu, and
+//! its energy extension.
 //!
-//! Like Figure 4, the ladder has two equivalent drivers: the serial
-//! [`run_ladder`] and the engine-backed [`run_ladder_parallel`], which
-//! expresses the eight steps as a degenerate [`SearchSpace`] and fans
-//! them out over `ParallelStudy` workers with byte-identical output.
-//! The energy extension table works the same way: [`run_energy_ladder`]
-//! (serial) and [`run_energy_ladder_parallel`] (an [`EnergyLadderSpace`]
-//! whose evaluator threads the [`EnergyEstimate`] through
-//! `EvalResult::{energy_uj, aux}`).
+//! Each table has one driver over the DSE engine: [`run_ladder`] for
+//! the performance ladder and [`run_energy_ladder`] for the energy
+//! table. Both walk the eight [`Fig6Step`]s as a degenerate one-axis
+//! design space through `GridSearch` + `ParallelStudy`, on one inline
+//! worker or a pool, with byte-identical rows at any thread count. The
+//! energy ladder threads the [`EnergyEstimate`] through
+//! `EvalResult::{energy_uj, aux}` and can score a step's timing
+//! siblings by trace replay (`retime`). Below the drivers,
+//! [`execute_step`] and [`replay_step`] simulate a single step.
 //!
 //! [`EnergyEstimate`]: cfu_sim::energy::EnergyEstimate
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use cfu_core::cfu2::Cfu2;
 use cfu_core::{Cfu, NullCfu};
-use cfu_dse::{
-    EvalResult, Evaluator, GridSearch, ParallelStudy, SearchSpace, StoreContext, StoreKey,
-    StudyStore, TraceStore,
-};
+use cfu_dse::{EvalResult, Evaluator, StoreContext, StoreKey, StudyReport, StudyStore, TraceStore};
 use cfu_mem::SpiWidth;
-use cfu_sim::energy::EnergyEstimate;
-use cfu_sim::{CpuConfig, Multiplier, Trace, TraceReplayer};
-use cfu_soc::{Board, SocBuilder, SocFeatures};
+use cfu_sim::energy::{estimate_core, EnergyParams};
+use cfu_sim::{CpuConfig, Multiplier, TimedCore, Trace, TraceReplayer};
+use cfu_soc::{Board, Soc, SocBuilder, SocFeatures};
 use cfu_tflm::deploy::{ConvKernel, DeployConfig, Deployment, DwKernel, KernelRegistry};
 use cfu_tflm::models;
 
@@ -217,49 +216,42 @@ pub struct Fig6Row {
     pub fits: bool,
 }
 
-/// Runs one ladder step end to end and returns total inference cycles.
+/// `step`'s SoC with `cpu` in place of the step's own CPU: the fit
+/// report reflects `cpu` and the step's CFU, the bus the step's
+/// features (SPI width included).
+fn soc(step: Fig6Step, cpu: CpuConfig) -> Soc {
+    SocBuilder::new(Board::fomu())
+        .cpu(cpu)
+        .features(step.features())
+        .cfu(step.cfu().as_ref())
+        .build()
+}
+
+/// Executes the KWS workload with `step`'s deployment, kernels and SoC
+/// features under `cpu`: pass `step.cpu()` for the rung itself, or
+/// another CPU for a *timing sibling* (same committed instruction
+/// stream, different timing knobs). With `capture`, the committed
+/// operation trace is recorded too, for retime-only replay of the
+/// step's siblings (see [`Fig6Step::retime_group`]). Returns the
+/// whole-inference cycle count and the trace.
 ///
 /// # Panics
 ///
-/// Panics if deployment or inference fails.
-pub fn run_step(step: Fig6Step) -> u64 {
-    run_step_inner(step, false).0
+/// Panics if deployment or inference fails (a harness-level bug).
+pub fn execute_step(step: Fig6Step, cpu: CpuConfig, capture: bool) -> (u64, Option<Trace>) {
+    let (cycles, (), trace) = execute(step, cpu, capture, |_| ());
+    (cycles, trace)
 }
 
-/// [`run_step`] while capturing the committed operation trace, for
-/// retime-only replay of the step's timing siblings (see
-/// [`Fig6Step::retime_group`]).
-///
-/// # Panics
-///
-/// As [`run_step`].
-pub fn run_step_captured(step: Fig6Step) -> (u64, Trace) {
-    let (cycles, trace) = run_step_inner(step, true);
-    (cycles, trace.expect("capture requested"))
-}
-
-fn run_step_inner(step: Fig6Step, capture: bool) -> (u64, Option<Trace>) {
-    run_step_inner_as(step, step.cpu(), capture)
-}
-
-/// Runs the KWS workload with `step`'s deployment, kernels, and SoC
-/// features but an overridden CPU — a *timing sibling* of `step` (same
-/// committed instruction stream, different timing knobs). The retime
-/// ablation bench uses this to score points between ladder rungs.
-///
-/// # Panics
-///
-/// As [`run_step`].
-pub fn run_step_as(step: Fig6Step, cpu: CpuConfig) -> u64 {
-    run_step_inner_as(step, cpu, false).0
-}
-
-fn run_step_inner_as(step: Fig6Step, cpu: CpuConfig, capture: bool) -> (u64, Option<Trace>) {
-    let board = Board::fomu();
+/// [`execute_step`] that also hands the finished core to `measure`.
+fn execute<R>(
+    step: Fig6Step,
+    cpu: CpuConfig,
+    capture: bool,
+    measure: impl FnOnce(&TimedCore) -> R,
+) -> (u64, R, Option<Trace>) {
     let model = models::ds_cnn_kws(1);
     let input = models::synthetic_input(&model, 7);
-    let soc = SocBuilder::new(board).cpu(cpu).features(step.features()).build();
-    let bus = soc.build_bus();
     // Baseline placement: weights + code execute-in-place from flash,
     // activations in SRAM (the binary image does not fit in 128 kB).
     let mut cfg = DeployConfig::new(cpu, "spiflash", "sram", "spiflash");
@@ -268,148 +260,35 @@ fn run_step_inner_as(step: Fig6Step, cpu: CpuConfig, capture: bool) -> (u64, Opt
         cfg.hot_code_region = Some("sram".to_owned());
         cfg.hot_weights_region = Some("sram".to_owned());
     }
-    let mut dep = Deployment::new(model, bus, step.cfu(), &cfg).expect("fig6 deployment");
-    if capture {
-        let (_, profile, trace) = dep.run_captured(&input).expect("fig6 inference");
-        (profile.total_cycles(), Some(trace))
-    } else {
-        let (_, profile) = dep.run(&input).expect("fig6 inference");
-        (profile.total_cycles(), None)
-    }
-}
-
-/// Replays a captured group trace under `step`'s timing configuration
-/// (the step's SoC bus — SPI width included — and CPU knobs). Returns
-/// the whole-inference cycle count, or `None` on replay error.
-pub fn replay_step(step: Fig6Step, trace: &Trace) -> Option<u64> {
-    replay_step_as(step, step.cpu(), trace)
-}
-
-/// [`replay_step`] with an overridden CPU — retimes the captured group
-/// trace at a timing sibling of `step` (see [`run_step_as`]).
-pub fn replay_step_as(step: Fig6Step, cpu: CpuConfig, trace: &Trace) -> Option<u64> {
-    let soc = SocBuilder::new(Board::fomu()).cpu(cpu).features(step.features()).build();
-    let mut replayer = TraceReplayer::new(cpu, soc.build_bus());
-    Some(replayer.replay(trace).ok()?.total_cycles())
-}
-
-/// Monotonic process-wide count of [`run_step_with_energy`] invocations.
-static ENERGY_STEP_EVALS: AtomicU64 = AtomicU64::new(0);
-
-/// How many times [`run_step_with_energy`] has run in this process —
-/// observability for the "each ladder step is simulated exactly once
-/// per run" contract (the final KWS step is the most expensive
-/// simulation in `table_energy_ladder`; see
-/// `crates/bench/tests/ladder_parallel.rs`).
-pub fn energy_step_evaluations() -> u64 {
-    ENERGY_STEP_EVALS.load(Ordering::Relaxed)
-}
-
-/// Runs one ladder step and additionally estimates its energy — the
-/// paper's future-work axis (extension; see `table_energy_ladder`).
-///
-/// Returns `(cycles, energy estimate)`.
-///
-/// # Panics
-///
-/// Panics if deployment or inference fails.
-pub fn run_step_with_energy(step: Fig6Step) -> (u64, EnergyEstimate) {
-    let (cycles, estimate, _) = run_step_with_energy_inner(step, false);
-    (cycles, estimate)
-}
-
-/// [`run_step_with_energy`] while capturing the committed operation
-/// trace (counts as one evaluation, like the uncaptured run).
-///
-/// # Panics
-///
-/// As [`run_step_with_energy`].
-pub fn run_step_with_energy_captured(step: Fig6Step) -> (u64, EnergyEstimate, Trace) {
-    let (cycles, estimate, trace) = run_step_with_energy_inner(step, true);
-    (cycles, estimate, trace.expect("capture requested"))
-}
-
-fn run_step_with_energy_inner(
-    step: Fig6Step,
-    capture: bool,
-) -> (u64, EnergyEstimate, Option<Trace>) {
-    ENERGY_STEP_EVALS.fetch_add(1, Ordering::Relaxed);
-    let board = Board::fomu();
-    let model = models::ds_cnn_kws(1);
-    let input = models::synthetic_input(&model, 7);
-    let cfu = step.cfu();
-    let soc =
-        SocBuilder::new(board).cpu(step.cpu()).features(step.features()).cfu(cfu.as_ref()).build();
-    let design = soc.fit_report().used();
-    let bus = soc.build_bus();
-    let mut cfg = DeployConfig::new(step.cpu(), "spiflash", "sram", "spiflash");
-    cfg.registry = step.registry();
-    if step >= Fig6Step::SramOpsAndModel {
-        cfg.hot_code_region = Some("sram".to_owned());
-        cfg.hot_weights_region = Some("sram".to_owned());
-    }
+    let bus = soc(step, cpu).build_bus();
     let mut dep = Deployment::new(model, bus, step.cfu(), &cfg).expect("fig6 deployment");
     let (profile, trace) = if capture {
         let (_, profile, trace) = dep.run_captured(&input).expect("fig6 inference");
         (profile, Some(trace))
     } else {
-        let (_, profile) = dep.run(&input).expect("fig6 inference");
-        (profile, None)
+        (dep.run(&input).expect("fig6 inference").1, None)
     };
-    let params = cfu_sim::energy::EnergyParams::ice40();
-    let estimate = cfu_sim::energy::estimate_core(dep.core(), design, &params);
-    (profile.total_cycles(), estimate, trace)
+    (profile.total_cycles(), measure(dep.core()), trace)
 }
 
-/// Replays a captured group trace under `step`'s timing configuration
-/// and re-runs the iCE40 energy model over the replayed core. Counts as
-/// one evaluation (same contract as [`run_step_with_energy`]) when the
-/// replay succeeds; `None` on replay error (caller falls back to
-/// execute mode, which does its own counting).
-pub fn replay_step_with_energy(step: Fig6Step, trace: &Trace) -> Option<(u64, EnergyEstimate)> {
-    let cfu = step.cfu();
-    let soc = SocBuilder::new(Board::fomu())
-        .cpu(step.cpu())
-        .features(step.features())
-        .cfu(cfu.as_ref())
-        .build();
-    let design = soc.fit_report().used();
-    let mut replayer = TraceReplayer::new(step.cpu(), soc.build_bus());
-    let summary = replayer.replay(trace).ok()?;
-    ENERGY_STEP_EVALS.fetch_add(1, Ordering::Relaxed);
-    let params = cfu_sim::energy::EnergyParams::ice40();
-    let estimate = cfu_sim::energy::estimate_core(replayer.core(), design, &params);
-    Some((summary.total_cycles(), estimate))
+/// Retimes a trace captured by [`execute_step`] at `step` (or any
+/// member of its retime group) under `cpu` and `step`'s SoC bus.
+/// Returns the whole-inference cycle count — bit-identical to
+/// executing — or `None` if the replay fails.
+pub fn replay_step(step: Fig6Step, cpu: CpuConfig, trace: &Trace) -> Option<u64> {
+    replay(step, cpu, trace, |_| ()).map(|(cycles, ())| cycles)
 }
 
-/// Runs the whole Figure 6 ladder.
-pub fn run_ladder() -> Vec<Fig6Row> {
-    let clock_hz = Board::fomu().clock_hz as f64;
-    let mut rows = Vec::new();
-    let mut baseline = 0u64;
-    for step in Fig6Step::LADDER {
-        let cycles = run_step(step);
-        if step == Fig6Step::Baseline {
-            baseline = cycles;
-        }
-        let cfu = step.cfu();
-        let soc = SocBuilder::new(Board::fomu())
-            .cpu(step.cpu())
-            .features(step.features())
-            .cfu(cfu.as_ref())
-            .build();
-        let fit = soc.fit_report();
-        rows.push(Fig6Row {
-            label: step.label(),
-            cycles,
-            seconds: cycles as f64 / clock_hz,
-            speedup: baseline as f64 / cycles.max(1) as f64,
-            luts: fit.used().luts,
-            dsps: fit.used().dsps,
-            fits: fit.fits(),
-        });
-    }
-    rows
+/// [`replay_step`] that also hands the replayed core to `measure`.
+fn replay<R>(
+    step: Fig6Step,
+    cpu: CpuConfig,
+    trace: &Trace,
+    measure: impl FnOnce(&TimedCore) -> R,
+) -> Option<(u64, R)> {
+    let mut replayer = TraceReplayer::new(cpu, soc(step, cpu).build_bus());
+    let cycles = replayer.replay(trace).ok()?.total_cycles();
+    Some((cycles, measure(replayer.core())))
 }
 
 /// Number of steps in the Figure-6 ladder (progress-readout totals).
@@ -417,39 +296,16 @@ pub fn ladder_len() -> u64 {
     Fig6Step::LADDER.len() as u64
 }
 
-/// The Figure-6 ladder as a degenerate one-axis design space over
-/// [`Fig6Step`].
-#[derive(Debug, Clone, Copy)]
-pub struct Fig6Space;
-
-impl SearchSpace for Fig6Space {
-    type Point = Fig6Step;
-
-    fn size(&self) -> u64 {
-        Fig6Step::LADDER.len() as u64
-    }
-
-    fn point(&self, index: u64) -> Fig6Step {
-        Fig6Step::LADDER[usize::try_from(index).expect("ladder index fits usize")]
-    }
-}
-
 /// Scores one KWS ladder step: a full DS-CNN inference on the simulated
 /// Fomu SoC for `latency`, plus the step's SoC fit report for
 /// `resources`/`fits`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Fig6Evaluator;
+#[derive(Debug, Clone, Copy)]
+struct Fig6Evaluator;
 
 impl Evaluator<Fig6Step> for Fig6Evaluator {
     fn evaluate(&mut self, step: &Fig6Step) -> EvalResult {
-        let cycles = run_step(*step);
-        let cfu = step.cfu();
-        let soc = SocBuilder::new(Board::fomu())
-            .cpu(step.cpu())
-            .features(step.features())
-            .cfu(cfu.as_ref())
-            .build();
-        let fit = soc.fit_report();
+        let (cycles, _) = execute_step(*step, step.cpu(), false);
+        let fit = soc(*step, step.cpu()).fit_report();
         EvalResult {
             latency: cycles,
             resources: fit.used(),
@@ -460,13 +316,50 @@ impl Evaluator<Fig6Step> for Fig6Evaluator {
     }
 }
 
-/// Capture-or-replay scaffolding shared by the retimed ladder
-/// evaluators: the first point of each retime group runs `capture` (its
-/// live result is the point's score and the trace is published), timing
-/// siblings run `replay` on the shared trace, and a failed or
-/// ineligible capture sends every point in the group through
-/// `fallback` (plain execution).
-pub(crate) fn capture_or_replay<R>(
+/// Runs the whole Figure 6 ladder on `threads` workers (`1` evaluates
+/// the steps inline, in ladder order). `progress`, when given, is bumped
+/// once per step — the live readout `fig6_kws_ladder --threads` prints
+/// to stderr. `store` (context: [`store_context`]) persists freshly
+/// simulated steps, and a resume-mode handle hydrates prior ones so a
+/// warm ladder performs no simulation. Rows are byte-identical either
+/// way and at any thread count.
+///
+/// # Panics
+///
+/// Panics if a step fails to deploy or run (a harness-level bug).
+pub fn run_ladder(
+    threads: usize,
+    progress: Option<Arc<AtomicU64>>,
+    store: Option<Arc<StudyStore<Fig6Step>>>,
+) -> Vec<Fig6Row> {
+    let study =
+        crate::run_ladder_study(&Fig6Step::LADDER, threads, progress, store, &|| Fig6Evaluator);
+    let clock_hz = Board::fomu().clock_hz as f64;
+    let baseline =
+        study.cache().get(&Fig6Step::Baseline).expect("engine evaluated the baseline step").latency;
+    Fig6Step::LADDER
+        .iter()
+        .map(|step| {
+            let r = study.cache().get(step).expect("engine evaluated every ladder step");
+            Fig6Row {
+                label: step.label(),
+                cycles: r.latency,
+                seconds: r.latency as f64 / clock_hz,
+                speedup: baseline as f64 / r.latency.max(1) as f64,
+                luts: r.resources.luts,
+                dsps: r.resources.dsps,
+                fits: r.fits,
+            }
+        })
+        .collect()
+}
+
+/// Capture-or-replay scaffolding for retimed evaluation: the first
+/// point of each retime group runs `capture` (its live result is the
+/// point's score and the trace is published), timing siblings run
+/// `replay` on the shared trace, and a failed or ineligible capture
+/// sends every point in the group through `fallback` (plain execution).
+fn capture_or_replay<R>(
     store: &TraceStore<u8>,
     group: u8,
     capture: impl FnOnce() -> (R, Trace),
@@ -496,123 +389,6 @@ pub(crate) fn capture_or_replay<R>(
     fallback()
 }
 
-/// [`Fig6Evaluator`] with trace-capture + retime-only replay: the first
-/// step of each [`Fig6Step::retime_group`] executes the guest
-/// (capturing its operation trace); the group's timing siblings replay
-/// that trace instead of re-executing. Scores are bit-identical to
-/// [`Fig6Evaluator`].
-#[derive(Debug, Clone)]
-pub struct RetimedFig6Evaluator {
-    store: Arc<TraceStore<u8>>,
-}
-
-impl RetimedFig6Evaluator {
-    /// Creates an evaluator over a shared trace store (one store per
-    /// sweep, shared by every worker's evaluator).
-    pub fn new(store: Arc<TraceStore<u8>>) -> Self {
-        RetimedFig6Evaluator { store }
-    }
-}
-
-impl Evaluator<Fig6Step> for RetimedFig6Evaluator {
-    fn evaluate(&mut self, step: &Fig6Step) -> EvalResult {
-        let cycles = capture_or_replay(
-            &self.store,
-            step.retime_group(),
-            || run_step_captured(*step),
-            |trace| replay_step(*step, trace),
-            || run_step(*step),
-        );
-        let cfu = step.cfu();
-        let soc = SocBuilder::new(Board::fomu())
-            .cpu(step.cpu())
-            .features(step.features())
-            .cfu(cfu.as_ref())
-            .build();
-        let fit = soc.fit_report();
-        EvalResult {
-            latency: cycles,
-            resources: fit.used(),
-            fits: fit.fits(),
-            energy_uj: 0.0,
-            aux: 0,
-        }
-    }
-}
-
-/// Runs the ladder through the parallel DSE engine with `threads`
-/// workers; rows are rebuilt from the memo cache with the same
-/// arithmetic as [`run_ladder`], so the output is byte-identical to the
-/// serial driver at any thread count.
-pub fn run_ladder_parallel(threads: usize) -> Vec<Fig6Row> {
-    run_ladder_parallel_observed(threads, None)
-}
-
-/// [`run_ladder_parallel`] scored through the capture/replay pipeline
-/// (see [`RetimedFig6Evaluator`]): one guest execution per retime
-/// group, replays for the rest, byte-identical rows.
-pub fn run_ladder_parallel_retimed(threads: usize) -> Vec<Fig6Row> {
-    let store = Arc::new(TraceStore::new());
-    run_ladder_engine(threads, None, None, &move || RetimedFig6Evaluator::new(Arc::clone(&store)))
-}
-
-/// [`run_ladder_parallel`] with an optional shared progress counter,
-/// bumped once per evaluated step — the live readout `fig6_kws_ladder`
-/// prints to stderr. Purely observational: rows are unaffected.
-pub fn run_ladder_parallel_observed(
-    threads: usize,
-    progress: Option<Arc<AtomicU64>>,
-) -> Vec<Fig6Row> {
-    run_ladder_engine(threads, progress, None, &|| Fig6Evaluator)
-}
-
-/// [`run_ladder_parallel_observed`] with an optional persistent result
-/// store (context: [`store_context`]): fresh steps are appended, and a
-/// resume-mode handle hydrates prior results so a warm ladder re-runs
-/// with zero simulations. Rows stay byte-identical either way.
-pub fn run_ladder_parallel_stored(
-    threads: usize,
-    progress: Option<Arc<AtomicU64>>,
-    store: Option<Arc<StudyStore<Fig6Step>>>,
-) -> Vec<Fig6Row> {
-    run_ladder_engine(threads, progress, store, &|| Fig6Evaluator)
-}
-
-fn run_ladder_engine<F: cfu_dse::EvaluatorFactory<Fig6Step>>(
-    threads: usize,
-    progress: Option<Arc<AtomicU64>>,
-    store: Option<Arc<StudyStore<Fig6Step>>>,
-    factory: &F,
-) -> Vec<Fig6Row> {
-    let space = Fig6Space;
-    let optimizer = GridSearch::new(&space, space.size());
-    let mut study = ParallelStudy::new(space, optimizer, threads);
-    if let Some(counter) = progress {
-        study.attach_progress(counter);
-    }
-    if let Some(handle) = store {
-        study.attach_store(handle);
-    }
-    study.run(factory, space.size());
-    let clock_hz = Board::fomu().clock_hz as f64;
-    let baseline =
-        study.cache().get(&Fig6Step::Baseline).expect("engine evaluated the baseline step").latency;
-    let mut rows = Vec::new();
-    for step in Fig6Step::LADDER {
-        let r = study.cache().get(&step).expect("engine evaluated every ladder step");
-        rows.push(Fig6Row {
-            label: step.label(),
-            cycles: r.latency,
-            seconds: r.latency as f64 / clock_hz,
-            speedup: baseline as f64 / r.latency.max(1) as f64,
-            luts: r.resources.luts,
-            dsps: r.resources.dsps,
-            fits: r.fits,
-        });
-    }
-    rows
-}
-
 /// One row of the energy-extension table (paper §V future work): the
 /// Figure-6 step re-measured under the iCE40 energy model.
 #[derive(Debug, Clone)]
@@ -631,75 +407,44 @@ pub struct EnergyRow {
     pub edp_ujs: f64,
 }
 
-/// Builds one [`EnergyRow`] from the quantities both drivers agree on.
-///
-/// Serial and engine paths funnel through this same arithmetic —
-/// `(cycles, total, dynamic)` in, derived columns out — which is what
-/// makes the rendered table byte-identical between them.
-fn energy_row(
-    label: &'static str,
-    cycles: u64,
-    total_uj: f64,
-    dynamic_uj: f64,
-    clock_hz: u64,
-) -> EnergyRow {
-    let seconds = cycles as f64 / clock_hz as f64;
-    let avg_mw = if cycles == 0 { 0.0 } else { total_uj / 1e3 / seconds };
-    EnergyRow { label, cycles, total_uj, dynamic_uj, avg_mw, edp_ujs: total_uj * seconds }
-}
-
-/// Runs the energy ladder serially: one [`run_step_with_energy`] call
-/// per step (the final-step result is captured in the loop, never
-/// re-simulated for the summary ratio).
-pub fn run_energy_ladder() -> Vec<EnergyRow> {
-    let clock_hz = Board::fomu().clock_hz;
-    Fig6Step::LADDER
-        .iter()
-        .map(|&step| {
-            let (cycles, e) = run_step_with_energy(step);
-            energy_row(step.label(), cycles, e.total_uj(), e.dynamic_uj, clock_hz)
-        })
-        .collect()
-}
-
-/// The energy ladder as a degenerate one-axis design space over
-/// [`Fig6Step`] — same axis as [`Fig6Space`], separate type so the two
-/// sweeps keep distinct evaluators and memo caches.
-#[derive(Debug, Clone, Copy)]
-pub struct EnergyLadderSpace;
-
-impl SearchSpace for EnergyLadderSpace {
-    type Point = Fig6Step;
-
-    fn size(&self) -> u64 {
-        Fig6Step::LADDER.len() as u64
-    }
-
-    fn point(&self, index: u64) -> Fig6Step {
-        Fig6Step::LADDER[usize::try_from(index).expect("ladder index fits usize")]
-    }
-}
-
 /// Scores one energy-ladder step: a full DS-CNN inference plus the
 /// iCE40 energy estimate. The [`EnergyEstimate`] rides through the
 /// engine inside the [`EvalResult`]: `energy_uj` carries the total and
 /// `aux` the bit pattern of the dynamic component, so the table rows
 /// can be rebuilt loss-free from the memo cache.
 ///
-/// [`EnergyEstimate`]: cfu_sim::energy::EnergyEstimate
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EnergyLadderEvaluator;
+/// With a trace store, the first step of each [`Fig6Step::retime_group`]
+/// executes the guest (capturing its operation trace) and the group's
+/// timing siblings replay that trace instead; the replayed estimate is
+/// bit-identical to the executed one.
+#[derive(Debug, Clone)]
+struct EnergyLadderEvaluator {
+    traces: Option<Arc<TraceStore<u8>>>,
+}
 
 impl Evaluator<Fig6Step> for EnergyLadderEvaluator {
     fn evaluate(&mut self, step: &Fig6Step) -> EvalResult {
-        let (cycles, e) = run_step_with_energy(*step);
-        let cfu = step.cfu();
-        let soc = SocBuilder::new(Board::fomu())
-            .cpu(step.cpu())
-            .features(step.features())
-            .cfu(cfu.as_ref())
-            .build();
-        let fit = soc.fit_report();
+        let (step, cpu) = (*step, step.cpu());
+        let fit = soc(step, cpu).fit_report();
+        let params = EnergyParams::ice40();
+        let energy = |core: &TimedCore| estimate_core(core, fit.used(), &params);
+        let execute_plain = || {
+            let (cycles, e, _) = execute(step, cpu, false, energy);
+            (cycles, e)
+        };
+        let (cycles, e) = match &self.traces {
+            None => execute_plain(),
+            Some(traces) => capture_or_replay(
+                traces,
+                step.retime_group(),
+                || {
+                    let (cycles, e, trace) = execute(step, cpu, true, energy);
+                    ((cycles, e), trace.expect("capture requested"))
+                },
+                |trace| replay(step, cpu, trace, energy),
+                execute_plain,
+            ),
+        };
         EvalResult {
             latency: cycles,
             resources: fit.used(),
@@ -710,111 +455,48 @@ impl Evaluator<Fig6Step> for EnergyLadderEvaluator {
     }
 }
 
-/// [`EnergyLadderEvaluator`] with trace-capture + retime-only replay:
-/// one guest execution per [`Fig6Step::retime_group`], replays for the
-/// group's timing siblings. The replayed [`EnergyEstimate`] threads
-/// through `EvalResult::{energy_uj, aux}` exactly like the executed
-/// one, so memo-cache row rebuilding stays loss-free.
-#[derive(Debug, Clone)]
-pub struct RetimedEnergyLadderEvaluator {
-    store: Arc<TraceStore<u8>>,
-}
-
-impl RetimedEnergyLadderEvaluator {
-    /// Creates an evaluator over a shared trace store.
-    pub fn new(store: Arc<TraceStore<u8>>) -> Self {
-        RetimedEnergyLadderEvaluator { store }
-    }
-}
-
-impl Evaluator<Fig6Step> for RetimedEnergyLadderEvaluator {
-    fn evaluate(&mut self, step: &Fig6Step) -> EvalResult {
-        let (cycles, e) = capture_or_replay(
-            &self.store,
-            step.retime_group(),
-            || {
-                let (cycles, e, trace) = run_step_with_energy_captured(*step);
-                ((cycles, e), trace)
-            },
-            |trace| replay_step_with_energy(*step, trace),
-            || run_step_with_energy(*step),
-        );
-        let cfu = step.cfu();
-        let soc = SocBuilder::new(Board::fomu())
-            .cpu(step.cpu())
-            .features(step.features())
-            .cfu(cfu.as_ref())
-            .build();
-        let fit = soc.fit_report();
-        EvalResult {
-            latency: cycles,
-            resources: fit.used(),
-            fits: fit.fits(),
-            energy_uj: e.total_uj(),
-            aux: e.dynamic_bits(),
-        }
-    }
-}
-
-/// Runs the energy ladder through the parallel DSE engine with
-/// `threads` workers; rows are rebuilt from the memo cache through the
-/// same row-building arithmetic as [`run_energy_ladder`], so the
-/// rendered table is byte-identical to the serial driver at any thread
-/// count — and each step is simulated exactly once.
-pub fn run_energy_ladder_parallel(threads: usize) -> Vec<EnergyRow> {
-    run_energy_ladder_engine(threads, None, &|| EnergyLadderEvaluator)
-}
-
-/// [`run_energy_ladder_parallel`] scored through the capture/replay
-/// pipeline (see [`RetimedEnergyLadderEvaluator`]): each step still
-/// counts as exactly one evaluation, rows are byte-identical.
-pub fn run_energy_ladder_parallel_retimed(threads: usize) -> Vec<EnergyRow> {
-    let store = Arc::new(TraceStore::new());
-    run_energy_ladder_engine(threads, None, &move || {
-        RetimedEnergyLadderEvaluator::new(Arc::clone(&store))
-    })
-}
-
-/// The energy ladder with an optional persistent result store (context:
-/// [`energy_store_context`]) on top of the retime-or-execute choice. A
-/// resume-mode handle hydrates prior rows so the warm table re-renders
-/// with zero simulations *and* zero trace captures; rows stay
-/// byte-identical in all four mode combinations.
-pub fn run_energy_ladder_parallel_stored(
+/// Runs the energy ladder on `threads` workers (`1` evaluates inline).
+/// With `retime`, only the first step of each retime group executes the
+/// guest and its timing siblings are scored by trace replay. `store`
+/// (context: [`energy_store_context`]) persists freshly simulated steps,
+/// and a resume-mode handle hydrates prior ones so a warm table
+/// re-renders with zero simulations and zero trace captures. Rows are
+/// byte-identical in every combination and at any thread count.
+///
+/// Returns the rows and the study's [`StudyReport`], whose `attempts`
+/// counts the steps this run simulated (executed or replayed; store
+/// hits excluded) — each step at most once.
+///
+/// # Panics
+///
+/// Panics if a step fails to deploy or run (a harness-level bug).
+pub fn run_energy_ladder(
     threads: usize,
     retime: bool,
     store: Option<Arc<StudyStore<Fig6Step>>>,
-) -> Vec<EnergyRow> {
-    if retime {
-        let traces = Arc::new(TraceStore::new());
-        run_energy_ladder_engine(threads, store, &move || {
-            RetimedEnergyLadderEvaluator::new(Arc::clone(&traces))
-        })
-    } else {
-        run_energy_ladder_engine(threads, store, &|| EnergyLadderEvaluator)
-    }
-}
-
-fn run_energy_ladder_engine<F: cfu_dse::EvaluatorFactory<Fig6Step>>(
-    threads: usize,
-    store: Option<Arc<StudyStore<Fig6Step>>>,
-    factory: &F,
-) -> Vec<EnergyRow> {
-    let space = EnergyLadderSpace;
-    let optimizer = GridSearch::new(&space, space.size());
-    let mut study = ParallelStudy::new(space, optimizer, threads);
-    if let Some(handle) = store {
-        study.attach_store(handle);
-    }
-    study.run(factory, space.size());
-    let clock_hz = Board::fomu().clock_hz;
-    Fig6Step::LADDER
+) -> (Vec<EnergyRow>, StudyReport<Fig6Step>) {
+    let traces = retime.then(|| Arc::new(TraceStore::new()));
+    let factory = move || EnergyLadderEvaluator { traces: traces.clone() };
+    let study = crate::run_ladder_study(&Fig6Step::LADDER, threads, None, store, &factory);
+    let clock_hz = Board::fomu().clock_hz as f64;
+    let rows = Fig6Step::LADDER
         .iter()
-        .map(|&step| {
-            let r = study.cache().get(&step).expect("engine evaluated every ladder step");
-            energy_row(step.label(), r.latency, r.energy_uj, f64::from_bits(r.aux), clock_hz)
+        .map(|step| {
+            let r = study.cache().get(step).expect("engine evaluated every ladder step");
+            let (cycles, total_uj) = (r.latency, r.energy_uj);
+            let seconds = cycles as f64 / clock_hz;
+            let avg_mw = if cycles == 0 { 0.0 } else { total_uj / 1e3 / seconds };
+            EnergyRow {
+                label: step.label(),
+                cycles,
+                total_uj,
+                dynamic_uj: f64::from_bits(r.aux),
+                avg_mw,
+                edp_ujs: total_uj * seconds,
+            }
         })
-        .collect()
+        .collect();
+    (rows, study.report())
 }
 
 /// Renders the energy table exactly as `table_energy_ladder` prints it,

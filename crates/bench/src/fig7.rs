@@ -3,18 +3,20 @@
 //!
 //! Each curve is a [`Fig7CurveSpace`] — the paper-scale space restricted
 //! to one CFU choice — explored through the same [`ParallelStudy`]
-//! engine as every other experiment in the repo. [`run_all`] runs the
-//! three curves as three concurrently-pipelined studies (each with its
-//! own worker pool), and [`Fig7Progress`] exposes live per-curve
-//! evaluation counters so long sweeps are observable while they run.
+//! engine as every other experiment in the repo. [`run_all`] is the one
+//! driver: it runs the three curves as three concurrently-pipelined
+//! studies (each with its own worker pool), with live per-curve
+//! [`Fig7Progress`] counters, an optional persistent [`Fig7Store`] and
+//! an optional deterministic [`FaultPlan`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cfu_dse::{
     CfuChoice, DesignPoint, EvaluatorFactory, FaultPlan, FaultyFactory, Fig7CurveSpace,
-    InferenceEvaluatorFactory, ParallelStudy, ParetoPoint, RandomSearch, RegularizedEvolution,
-    ResultStore, RetryPolicy, StoreContext, StudyReport, StudyStore, TraceStore,
+    InferenceEvaluatorFactory, Optimizer, ParallelStudy, ParetoPoint, RandomSearch,
+    RegularizedEvolution, ResultStore, RetryPolicy, StoreContext, StudyReport, StudyStore,
+    TraceStore,
 };
 use cfu_soc::Board;
 use cfu_tflm::models;
@@ -88,7 +90,7 @@ impl Default for Fig7Config {
 }
 
 /// Live evaluation counters for the three concurrently-running curves,
-/// indexed like [`CURVES`]. Hand one to [`run_all_observed`] and poll
+/// indexed like [`CURVES`]. Hand one to [`run_all`] and poll
 /// [`snapshot`](Fig7Progress::snapshot) from another thread (the
 /// `fig7_dse_pareto` binary prints them to stderr every half second).
 #[derive(Debug, Default)]
@@ -169,15 +171,10 @@ impl Fig7Store {
     /// each curve hydrates its prior results into the study's memo
     /// cache before exploring (a fully warm store means zero guest
     /// simulations); without it, prior results are ignored but fresh
-    /// ones are still appended.
-    pub fn new(store: Arc<ResultStore>, input_hw: usize, resume: bool) -> Self {
-        Fig7Store::with_fault_plan(store, input_hw, resume, None)
-    }
-
-    /// [`new`](Fig7Store::new) with a deterministic [`FaultPlan`] whose
-    /// torn-flush entries chop bytes off the store file after planned
-    /// flushes — the crash-mid-append simulation for resume tests.
-    pub fn with_fault_plan(
+    /// ones are still appended. A [`FaultPlan`]'s torn-flush entries
+    /// chop bytes off the store file after planned flushes — the
+    /// crash-mid-append simulation for resume tests.
+    pub fn new(
         store: Arc<ResultStore>,
         input_hw: usize,
         resume: bool,
@@ -216,33 +213,14 @@ impl Fig7Store {
     }
 }
 
-/// Explores one curve.
-///
-/// # Panics
-///
-/// Panics if the model/evaluator cannot be constructed.
-pub fn run_curve(choice: CfuChoice, cfg: &Fig7Config) -> Fig7Curve {
-    run_curve_observed(choice, cfg, None)
-}
-
-/// [`run_curve`] with a live evaluation counter attached to the study.
-///
-/// # Panics
-///
-/// Panics if the model/evaluator cannot be constructed.
-pub fn run_curve_observed(
+/// Explores one curve, publishing its trace store (retime mode) to
+/// `progress` and injecting `fault_plan`'s faults when given (an empty
+/// plan makes [`FaultyFactory`] a pass-through).
+fn run_curve(
     choice: CfuChoice,
     cfg: &Fig7Config,
-    progress: Option<Arc<AtomicU64>>,
-) -> Fig7Curve {
-    run_curve_inner(choice, cfg, progress, None, None, None)
-}
-
-fn run_curve_inner(
-    choice: CfuChoice,
-    cfg: &Fig7Config,
-    progress: Option<Arc<AtomicU64>>,
-    publish: Option<(&Fig7Progress, usize)>,
+    progress: &Fig7Progress,
+    i: usize,
     store: Option<Arc<StudyStore<DesignPoint>>>,
     fault_plan: Option<&Arc<FaultPlan>>,
 ) -> Fig7Curve {
@@ -253,86 +231,53 @@ fn run_curve_inner(
     let factory = InferenceEvaluatorFactory::new(Board::arty_a7_35t(), model, input)
         .with_retime(cfg.retime)
         .with_cycle_budget(cfg.cycle_budget);
-    if let (Some((progress, i)), Some(store)) = (publish, factory.trace_store()) {
-        progress.publish_store(i, Arc::clone(store));
+    if let Some(traces) = factory.trace_store() {
+        progress.publish_store(i, Arc::clone(traces));
     }
-    let (front, evaluated, report) = match fault_plan {
-        Some(plan) => {
-            let faulty = FaultyFactory::new(factory, Arc::clone(plan));
-            drive_curve(choice, cfg, &faulty, progress, store)
-        }
-        None => drive_curve(choice, cfg, &factory, progress, store),
+    let factory = FaultyFactory::new(factory, fault_plan.cloned().unwrap_or_default());
+    let (space, counter) = (space_for(choice), progress.counter(i));
+    let (front, evaluated, report) = if cfg.evolutionary {
+        let optimizer = RegularizedEvolution::new(cfg.seed, 24, 6);
+        drive_curve(space, optimizer, cfg, &factory, counter, store)
+    } else {
+        drive_curve(space, RandomSearch::new(cfg.seed), cfg, &factory, counter, store)
     };
     Fig7Curve { label: choice.label(), choice, front, evaluated, report }
 }
 
-/// Drives one curve's study against any factory (plain or
-/// fault-injecting), collapsing the evolutionary/random split.
-fn drive_curve<F: EvaluatorFactory<DesignPoint>>(
-    choice: CfuChoice,
+/// Drives one curve's study under `optimizer`.
+fn drive_curve<O: Optimizer<Fig7CurveSpace>, F: EvaluatorFactory<DesignPoint>>(
+    space: Fig7CurveSpace,
+    optimizer: O,
     cfg: &Fig7Config,
     factory: &F,
-    progress: Option<Arc<AtomicU64>>,
+    progress: Arc<AtomicU64>,
     store: Option<Arc<StudyStore<DesignPoint>>>,
 ) -> (Vec<ParetoPoint>, u64, StudyReport<DesignPoint>) {
-    let policy = RetryPolicy { max_retries: cfg.max_retries, fail_fast: cfg.fail_fast };
-    let space = space_for(choice);
-    if cfg.evolutionary {
-        let mut study =
-            ParallelStudy::new(space, RegularizedEvolution::new(cfg.seed, 24, 6), cfg.threads);
-        study.set_retry_policy(policy);
-        if let Some(counter) = progress {
-            study.attach_progress(counter);
-        }
-        if let Some(handle) = store {
-            study.attach_store(handle);
-        }
-        study.run(factory, cfg.trials);
-        (study.archive().front(), study.archive().evaluated(), study.report())
-    } else {
-        let mut study = ParallelStudy::new(space, RandomSearch::new(cfg.seed), cfg.threads);
-        study.set_retry_policy(policy);
-        if let Some(counter) = progress {
-            study.attach_progress(counter);
-        }
-        if let Some(handle) = store {
-            study.attach_store(handle);
-        }
-        study.run(factory, cfg.trials);
-        (study.archive().front(), study.archive().evaluated(), study.report())
+    let mut study = ParallelStudy::new(space, optimizer, cfg.threads);
+    study.set_retry_policy(RetryPolicy { max_retries: cfg.max_retries, fail_fast: cfg.fail_fast });
+    study.attach_progress(progress);
+    if let Some(handle) = store {
+        study.attach_store(handle);
     }
+    study.run(factory, cfg.trials);
+    (study.archive().front(), study.archive().evaluated(), study.report())
 }
 
 /// Explores all three curves as three concurrently-running studies (one
-/// OS thread per curve, each fanning its batches out over
-/// `cfg.threads` workers). Curves are independent studies, so results
-/// are byte-identical to running them one after another.
-pub fn run_all(cfg: &Fig7Config) -> Vec<Fig7Curve> {
-    run_all_observed(cfg, &Fig7Progress::new())
-}
-
-/// [`run_all`] with live per-curve progress counters.
-pub fn run_all_observed(cfg: &Fig7Config, progress: &Fig7Progress) -> Vec<Fig7Curve> {
-    run_all_stored(cfg, progress, None)
-}
-
-/// [`run_all_observed`] with an optional persistent result store: every
-/// freshly simulated point is appended to `store`'s file, and (in
-/// resume mode) each curve hydrates its prior results before exploring.
-/// Fronts are byte-identical with or without a store — persistence only
-/// changes wall-clock time.
-pub fn run_all_stored(
-    cfg: &Fig7Config,
-    progress: &Fig7Progress,
-    store: Option<&Fig7Store>,
-) -> Vec<Fig7Curve> {
-    run_all_faulted(cfg, progress, store, None)
-}
-
-/// [`run_all_stored`] with a deterministic [`FaultPlan`] wrapped around
-/// every curve's evaluators (the `CFU_FAULT_PLAN` smoke-test path).
-/// `None` is exactly [`run_all_stored`].
-pub fn run_all_faulted(
+/// OS thread per curve, each fanning its batches out over `cfg.threads`
+/// workers) — the one Figure-7 driver. Curves are independent studies,
+/// so results are byte-identical to running them one after another.
+///
+/// * `progress` receives live per-curve evaluation counters (and, with
+///   retime on, each curve's trace store);
+/// * `store`, when given, gets every freshly simulated point appended,
+///   and in resume mode each curve hydrates its prior results before
+///   exploring — fronts are byte-identical with or without a store;
+/// * `fault_plan`, when given, wraps every curve's evaluators in
+///   deterministic fault injection (the `CFU_FAULT_PLAN` smoke-test
+///   path).
+pub fn run_all(
     cfg: &Fig7Config,
     progress: &Fig7Progress,
     store: Option<&Fig7Store>,
@@ -343,18 +288,8 @@ pub fn run_all_faulted(
             .iter()
             .enumerate()
             .map(|(i, &choice)| {
-                let counter = progress.counter(i);
                 let handle = store.map(|s| s.handle(i));
-                scope.spawn(move || {
-                    run_curve_inner(
-                        choice,
-                        cfg,
-                        Some(counter),
-                        Some((progress, i)),
-                        handle,
-                        fault_plan,
-                    )
-                })
+                scope.spawn(move || run_curve(choice, cfg, progress, i, handle, fault_plan))
             })
             .collect();
         // Joining in spawn order keeps the output order fixed. A curve

@@ -5,19 +5,11 @@
 //! `--store`/`--resume` flags on the figure binaries.
 
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use cfu_bench::{fig4, fig6, fig7};
 use cfu_dse::{ResultStore, StudyStore};
 use cfu_sim::CpuConfig;
-
-/// Serializes the tests that read the global
-/// [`fig6::energy_step_evaluations`] counter, so one test's runs never
-/// perturb another's before/after delta.
-fn energy_counter_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 fn temp_store(tag: &str) -> PathBuf {
     let path =
@@ -37,21 +29,21 @@ fn fig7_warm_resume_is_byte_identical_with_zero_guest_runs() {
         retime: true,
         ..fig7::Fig7Config::default()
     };
-    let baseline = fig7::to_csv(&fig7::run_all(&cfg));
+    let baseline = fig7::to_csv(&fig7::run_all(&cfg, &fig7::Fig7Progress::new(), None, None));
     let path = temp_store("fig7");
     let cold_store = Arc::new(ResultStore::open(&path).unwrap());
-    let cold = fig7::Fig7Store::new(Arc::clone(&cold_store), cfg.input_hw, false);
+    let cold = fig7::Fig7Store::new(Arc::clone(&cold_store), cfg.input_hw, false, None);
     let progress = fig7::Fig7Progress::new();
-    let cold_csv = fig7::to_csv(&fig7::run_all_stored(&cfg, &progress, Some(&cold)));
+    let cold_csv = fig7::to_csv(&fig7::run_all(&cfg, &progress, Some(&cold), None));
     assert_eq!(cold_csv, baseline, "attaching a store must not move the fronts");
     assert!(cold.appended() > 0, "cold run must persist fresh evaluations");
     drop(cold);
     drop(cold_store);
 
     let warm_store = Arc::new(ResultStore::open(&path).unwrap());
-    let warm = fig7::Fig7Store::new(Arc::clone(&warm_store), cfg.input_hw, true);
+    let warm = fig7::Fig7Store::new(Arc::clone(&warm_store), cfg.input_hw, true, None);
     let progress = fig7::Fig7Progress::new();
-    let warm_csv = fig7::to_csv(&fig7::run_all_stored(&cfg, &progress, Some(&warm)));
+    let warm_csv = fig7::to_csv(&fig7::run_all(&cfg, &progress, Some(&warm), None));
     assert_eq!(warm_csv, baseline, "warm resume must reproduce the fronts byte-for-byte");
     assert_eq!(warm.appended(), 0, "warm resume must append nothing");
     assert!(warm.hydrated() > 0, "warm resume must hydrate prior results");
@@ -68,33 +60,20 @@ fn fig7_warm_resume_is_byte_identical_with_zero_guest_runs() {
 #[test]
 fn fig4_warm_resume_is_byte_identical_and_appends_nothing() {
     let cpu = CpuConfig::arty_default();
-    let baseline = fig4::to_csv(&fig4::run_ladder_configured(cpu, 16, false));
+    let baseline = fig4::to_csv(&fig4::run_ladder(cpu, 16, false, 1, None, None));
     let path = temp_store("fig4");
     let ctx = fig4::store_context(cpu, 16, false);
     {
         let store = Arc::new(ResultStore::open(&path).unwrap());
         let handle = Arc::new(StudyStore::new(store, ctx.clone()));
-        let cold = fig4::to_csv(&fig4::run_ladder_parallel_stored(
-            cpu,
-            16,
-            false,
-            2,
-            None,
-            Some(Arc::clone(&handle)),
-        ));
+        let cold =
+            fig4::to_csv(&fig4::run_ladder(cpu, 16, false, 2, None, Some(Arc::clone(&handle))));
         assert_eq!(cold, baseline, "attaching a store must not move the rows");
         assert!(handle.appended() > 0, "cold run must persist fresh steps");
     }
     let store = Arc::new(ResultStore::open(&path).unwrap());
     let handle = Arc::new(StudyStore::new(store, ctx).with_resume(true));
-    let warm = fig4::to_csv(&fig4::run_ladder_parallel_stored(
-        cpu,
-        16,
-        false,
-        2,
-        None,
-        Some(Arc::clone(&handle)),
-    ));
+    let warm = fig4::to_csv(&fig4::run_ladder(cpu, 16, false, 2, None, Some(Arc::clone(&handle))));
     assert_eq!(warm, baseline, "warm resume must reproduce the rows byte-for-byte");
     assert_eq!(handle.appended(), 0, "warm resume must append nothing");
     assert!(handle.hydrated() > 0, "warm resume must hydrate prior steps");
@@ -121,19 +100,17 @@ fn fig4_store_contexts_isolate_cpu_and_resolution_variants() {
 fn fig6_and_energy_share_one_store_and_resume_with_zero_simulations() {
     // The content-addressed keys embed the workload tag, so the KWS
     // ladder and its energy extension can share one `--store` file:
-    // each hydrates only its own records. (Holds the energy-counter
-    // lock: the energy ladder bumps the global counter this test reads.)
-    let _guard = energy_counter_lock();
-    let baseline = fig6::to_csv(&fig6::run_ladder());
+    // each hydrates only its own records.
+    let baseline = fig6::to_csv(&fig6::run_ladder(1, None, None));
     let path = temp_store("fig6-shared");
     let (energy_table, energy_csv) = {
         let store = Arc::new(ResultStore::open(&path).unwrap());
         let ladder = Arc::new(StudyStore::new(Arc::clone(&store), fig6::store_context()));
-        let cold =
-            fig6::to_csv(&fig6::run_ladder_parallel_stored(2, None, Some(Arc::clone(&ladder))));
+        let cold = fig6::to_csv(&fig6::run_ladder(2, None, Some(Arc::clone(&ladder))));
         assert_eq!(cold, baseline, "attaching a store must not move the rows");
         let energy = Arc::new(StudyStore::new(Arc::clone(&store), fig6::energy_store_context()));
-        let rows = fig6::run_energy_ladder_parallel_stored(2, true, Some(Arc::clone(&energy)));
+        let (rows, report) = fig6::run_energy_ladder(2, true, Some(Arc::clone(&energy)));
+        assert_eq!(report.attempts, fig6::ladder_len(), "cold run must simulate every step once");
         assert!(ladder.appended() > 0, "cold ladder run must persist fresh steps");
         assert!(energy.appended() > 0, "cold energy run must persist fresh steps");
         (fig6::render_energy(&rows), fig6::energy_to_csv(&rows))
@@ -141,7 +118,7 @@ fn fig6_and_energy_share_one_store_and_resume_with_zero_simulations() {
     let store = Arc::new(ResultStore::open(&path).unwrap());
     let ladder =
         Arc::new(StudyStore::new(Arc::clone(&store), fig6::store_context()).with_resume(true));
-    let warm = fig6::to_csv(&fig6::run_ladder_parallel_stored(2, None, Some(Arc::clone(&ladder))));
+    let warm = fig6::to_csv(&fig6::run_ladder(2, None, Some(Arc::clone(&ladder))));
     assert_eq!(warm, baseline, "warm resume must reproduce the rows byte-for-byte");
     assert_eq!(ladder.appended(), 0, "warm resume must append nothing");
     assert_eq!(
@@ -150,12 +127,11 @@ fn fig6_and_energy_share_one_store_and_resume_with_zero_simulations() {
         "the ladder must hydrate exactly its own records, not the energy rows"
     );
     let energy = Arc::new(StudyStore::new(store, fig6::energy_store_context()).with_resume(true));
-    // The global step counter is the zero-simulation proof: a fully
+    // The run's attempt count is the zero-simulation proof: a fully
     // hydrated memo cache means no evaluator (execute *or* retime
     // capture) ever touches the guest.
-    let before = fig6::energy_step_evaluations();
-    let rows = fig6::run_energy_ladder_parallel_stored(2, true, Some(Arc::clone(&energy)));
-    assert_eq!(fig6::energy_step_evaluations(), before, "warm resume must simulate zero steps");
+    let (rows, report) = fig6::run_energy_ladder(2, true, Some(Arc::clone(&energy)));
+    assert_eq!(report.attempts, 0, "warm resume must simulate zero steps");
     assert_eq!(fig6::render_energy(&rows), energy_table, "warm energy table diverged");
     assert_eq!(fig6::energy_to_csv(&rows), energy_csv, "warm energy CSV diverged");
     assert_eq!(energy.appended(), 0, "warm energy resume must append nothing");

@@ -4,13 +4,14 @@
 
 use cfu_bench::{fig4, fig6, fig7};
 use cfu_dse::CfuChoice;
+use cfu_sim::CpuConfig;
 
 /// Figure 4 shape at reduced scale: every CFU step at least holds the
 /// line (the hold-inp step is allowed to be a wash), the MAC4 step is a
 /// big jump, and the final step is a large multiple of the baseline.
 #[test]
 fn fig4_ladder_shape_holds_at_small_scale() {
-    let rows = fig4::run_ladder(16, false);
+    let rows = fig4::run_ladder(CpuConfig::arty_default(), 16, false, 1, None, None);
     assert_eq!(rows.len(), 10);
     assert!((rows[0].operator_speedup - 1.0).abs() < 1e-9);
     // SW specialization ≈ 2x (paper 2.0x).
@@ -44,7 +45,7 @@ fn fig4_ladder_shape_holds_at_small_scale() {
 /// everything still fitting Fomu.
 #[test]
 fn fig6_ladder_shape_holds() {
-    let rows = fig6::run_ladder();
+    let rows = fig6::run_ladder(1, None, None);
     assert_eq!(rows.len(), 8);
     // QuadSPI ~3x (paper 3.04x).
     assert!((2.0..5.0).contains(&rows[1].speedup), "QuadSPI {:?}", rows[1].speedup);
@@ -82,7 +83,7 @@ fn fig7_cfu_curves_extend_the_front() {
         retime: true,
         ..fig7::Fig7Config::default()
     };
-    let curves = fig7::run_all(&cfg);
+    let curves = fig7::run_all(&cfg, &fig7::Fig7Progress::new(), None, None);
     assert_eq!(curves.len(), 3);
     let best = |choice: CfuChoice| {
         curves
