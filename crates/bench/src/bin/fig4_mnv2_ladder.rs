@@ -1,14 +1,10 @@
 //! Regenerates Figure 4: the MobileNetV2 1x1 CONV_2D ladder on Arty.
 //!
-//! Usage: `fig4_mnv2_ladder [--input-hw N] [--threads N]
-//! [--no-decode-cache]` (default input 96, the paper's resolution; use
-//! 32 or 48 for a quick look). The ladder runs through the DSE engine:
-//! one inline worker by default, N workers with `--threads N`
-//! (byte-identical rows, plus a live step counter on stderr).
-//! `--no-decode-cache` disables the ISS predecoded-trace fast path —
-//! the escape hatch for bisecting simulator-speed regressions; every
-//! row and the CSV are byte-identical either way (pinned in
-//! `tests/ladder_parallel.rs`).
+//! Usage: `fig4_mnv2_ladder [--input-hw N] [--threads N]` (default
+//! input 96, the paper's resolution; use 32 or 48 for a quick look).
+//! The ladder runs through the DSE engine: one inline worker by
+//! default, N workers with `--threads N` (byte-identical rows, plus a
+//! live step counter on stderr).
 //!
 //! `--store PATH` persists every freshly simulated ladder step to an
 //! append-only result store at PATH; `--resume` additionally hydrates
@@ -21,7 +17,7 @@ use cfu_sim::CpuConfig;
 
 fn main() {
     let mut cli = Cli::new(
-        "--input-hw N --full-width --csv PATH --svg PATH --threads N --no-decode-cache --store PATH --resume",
+        "--input-hw N --full-width --csv PATH --svg PATH --threads N --store PATH --resume",
     );
     let mut input_hw = 96;
     let mut full_width = false;
@@ -29,12 +25,10 @@ fn main() {
     let mut svg_path: Option<String> = None;
     let mut threads: Option<usize> = None;
     let mut store_flags = StoreFlags::default();
-    let mut decode_cache = true;
     while let Some(flag) = cli.next_flag() {
         match flag.as_str() {
             "--input-hw" => input_hw = cli.int(&flag),
             "--full-width" => full_width = true,
-            "--no-decode-cache" => decode_cache = false,
             "--csv" => csv_path = Some(cli.path(&flag)),
             "--svg" => svg_path = Some(cli.path(&flag)),
             "--threads" => threads = Some(cli.int(&flag)),
@@ -43,7 +37,7 @@ fn main() {
             _ => cli.unknown(&flag),
         }
     }
-    let cpu = CpuConfig::arty_default().with_decode_cache(decode_cache);
+    let cpu = CpuConfig::arty_default();
     let store = store_flags.study(&cli, fig4::store_context(cpu, input_hw, full_width));
     let width = if full_width { "1.0" } else { "0.35" };
     println!("Figure 4 — MobileNetV2 (width {width}) 1x1 CONV_2D ladder (Arty A7-35T, {input_hw}x{input_hw} input)");

@@ -87,7 +87,7 @@ impl Evaluator<Conv1x1Variant> for Fig4Evaluator {
 /// moves the numbers — input resolution, model width, and the fixed CPU
 /// configuration — goes into the workload tag. The CPU is folded in by
 /// its [`StoreKey`](cfu_dse::StoreKey) fingerprint, which excludes
-/// host-only knobs: `--no-decode-cache` runs share the cache.
+/// host-only knobs such as [`CpuConfig::decode_cache`].
 pub fn store_context(cpu: CpuConfig, input_hw: usize, full_width: bool) -> StoreContext {
     let fp = key_fingerprint(&DesignPoint { cpu, cfu: CfuChoice::None });
     let width = if full_width { "100" } else { "035" };
@@ -104,8 +104,7 @@ pub fn store_context(cpu: CpuConfig, input_hw: usize, full_width: bool) -> Store
 /// (see [`store_context`] for what keys its records) persists freshly
 /// simulated steps, and a resume-mode handle hydrates prior ones so a
 /// warm ladder performs no simulation. Rows are byte-identical for any
-/// `threads`, any store state and any host-only `cpu` knob such as
-/// [`CpuConfig::with_decode_cache`].
+/// `threads` and any store state.
 ///
 /// # Panics
 ///

@@ -21,7 +21,7 @@ struct Bin {
 const BINS: [Bin; 6] = [
     Bin {
         path: env!("CARGO_BIN_EXE_fig4_mnv2_ladder"),
-        supported: "--input-hw N --full-width --csv PATH --svg PATH --threads N --no-decode-cache --store PATH --resume",
+        supported: "--input-hw N --full-width --csv PATH --svg PATH --threads N --store PATH --resume",
         int_flag: Some("--threads"),
         value_flag: Some("--input-hw"),
         store: true,

@@ -32,14 +32,10 @@
 //!    (`timed_core::FetchWalk`), so the finalize pre-pass regenerates
 //!    byte-for-byte the fetch-address stream the live run charged — in
 //!    closed form, one packed record per maximal strictly-sequential
-//!    stretch. Replay charges a stretch in bulk: with an I-cache, per
-//!    *replay-configuration* cache line — the first fetch touching a
-//!    line performs the real access (and miss fill); the rest of the
-//!    stretch inside that line are proven hits (strictly ascending
-//!    addresses keep the line most-recently-used, so skipping them is
-//!    LRU-exact, and a TLM hit charges nothing), recorded via
-//!    [`cfu_mem::Cache::note_hits`]. Without an I-cache the whole
-//!    stretch is priced by one [`cfu_mem::Bus::read_cost_run`] burst.
+//!    stretch. Replay charges each stretch through the same routine the
+//!    live core uses (`TimedCore::fetch_stretch`, which holds the
+//!    exactness argument): per *replay-configuration* I-cache line, or
+//!    as one [`cfu_mem::Bus::read_cost_run`] burst without an I-cache.
 //!    Fetch charges are additionally *deferred* — accumulated in a
 //!    counter and flushed only at points whose timing reads or perturbs
 //!    shared state (stores, marks, region switches, loads or peeks
@@ -78,6 +74,9 @@ const TAG_CFU: u64 = 9;
 const TAG_CFU_HIDDEN: u64 = 10;
 const TAG_PEEK: u64 = 11;
 const TAG_MARK: u64 = 12;
+/// A full [`FetchWalk`] state (three words): written when a recording
+/// begins partway through a code region's walk, before its first fetch.
+const TAG_WALK: u64 = 13;
 
 /// Maximum fetches per packed run (31-bit count field).
 const RUN_COUNT_MAX: u64 = 0x7FFF_FFFF;
@@ -122,7 +121,8 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Number of packed op words (a `Region` op uses two).
+    /// Number of packed op words (a `Region` op uses two, a walk seed
+    /// three).
     pub fn words(&self) -> usize {
         self.ops.len()
     }
@@ -306,14 +306,40 @@ pub(crate) struct TraceRecorder {
     ops: Vec<u64>,
     compressed: bool,
     marks: u32,
+    /// The live walk at `start_recording`, when it was a real region:
+    /// written as a `TAG_WALK` record if a fetch comes before the first
+    /// `Region` record, so finalize regenerates the fetches the live
+    /// core charged from there. A recording that declares its region
+    /// first (every capture path) never writes it.
+    seed: Option<FetchWalk>,
+    /// `ops.len()` just after the latest ALU record was pushed; another
+    /// ALU op merges into it only while it is still the last word.
+    alu_end: usize,
 }
 
 impl TraceRecorder {
-    pub(crate) fn new(compressed: bool) -> Self {
-        TraceRecorder { ops: Vec::new(), compressed, marks: 0 }
+    pub(crate) fn new(compressed: bool, walk: FetchWalk) -> Self {
+        TraceRecorder {
+            ops: Vec::new(),
+            compressed,
+            marks: 0,
+            seed: (!walk.is_ideal()).then_some(walk),
+            alu_end: 0,
+        }
+    }
+
+    /// Called before recording any op that fetches.
+    #[inline]
+    fn fetching(&mut self) {
+        if let Some(w) = self.seed.take() {
+            self.ops.push(TAG_WALK | (u64::from(w.code_base) << 8));
+            self.ops.push(u64::from(w.code_len) | (u64::from(w.code_pc) << 32));
+            self.ops.push(u64::from(w.window_base) | (u64::from(w.window_fetches) << 32));
+        }
     }
 
     pub(crate) fn region(&mut self, base: u32, len: u32) {
+        self.seed = None;
         self.ops.push(TAG_REGION | (u64::from(base) << 8));
         self.ops.push(u64::from(len));
     }
@@ -325,28 +351,32 @@ impl TraceRecorder {
         if n == 0 {
             return;
         }
-        if let Some(last) = self.ops.last_mut() {
-            if *last & 0xF == TAG_ALU {
-                *last += u64::from(n) << 8;
-                return;
-            }
+        self.fetching();
+        if self.alu_end == self.ops.len() && self.alu_end > 0 {
+            self.ops[self.alu_end - 1] += u64::from(n) << 8;
+            return;
         }
         self.ops.push(TAG_ALU | (u64::from(n) << 8));
+        self.alu_end = self.ops.len();
     }
 
     pub(crate) fn mul(&mut self) {
+        self.fetching();
         self.ops.push(TAG_MUL);
     }
 
     pub(crate) fn div(&mut self) {
+        self.fetching();
         self.ops.push(TAG_DIV);
     }
 
     pub(crate) fn shift(&mut self, shamt: u32) {
+        self.fetching();
         self.ops.push(TAG_SHIFT | (u64::from(shamt) << 8));
     }
 
     pub(crate) fn branch(&mut self, site: u32, backward: bool, taken: bool) {
+        self.fetching();
         self.ops.push(
             TAG_BRANCH
                 | (u64::from(taken) << 4)
@@ -356,18 +386,22 @@ impl TraceRecorder {
     }
 
     pub(crate) fn call(&mut self, saved_regs: u32) {
+        self.fetching();
         self.ops.push(TAG_CALL | (u64::from(saved_regs) << 8));
     }
 
     pub(crate) fn load(&mut self, addr: u32, len: u32) {
+        self.fetching();
         self.ops.push(TAG_LOAD | (u64::from(len) << 4) | (u64::from(addr) << 8));
     }
 
     pub(crate) fn store(&mut self, addr: u32, len: u32) {
+        self.fetching();
         self.ops.push(TAG_STORE | (u64::from(len) << 4) | (u64::from(addr) << 8));
     }
 
     pub(crate) fn cfu(&mut self, latency: u32) {
+        self.fetching();
         self.ops.push(TAG_CFU | (u64::from(latency) << 8));
     }
 
@@ -396,8 +430,9 @@ impl TraceRecorder {
     }
 }
 
-/// How many instruction fetches an op word implies. `Region` is handled
-/// by the caller (it re-targets the walk and fetches nothing).
+/// How many instruction fetches an op word implies. `Region` and walk
+/// records are handled by the caller (they re-target the walk and fetch
+/// nothing).
 fn fetches_of(word: u64) -> u64 {
     match word & 0xF {
         TAG_ALU => word >> 8,
@@ -485,26 +520,43 @@ impl RunBuilder {
 /// Regenerates the fetch-address stream an op stream charged (via the
 /// shared [`FetchWalk`]) and compacts it into sequential runs.
 ///
-/// In the ideal regime (`code_len == 4`, no real code region) fetch PCs
-/// never reach the cache or bus and the walk state is fully reset by the
-/// next `Region` record, so whole ALU batches collapse to a count
-/// without stepping the walk; real regions use the walk's closed-form
-/// batch advance — either way finalize cost is proportional to the
-/// number of *records*, not instructions.
+/// The walk starts in the ideal regime, as a fresh core's does. In that
+/// regime (no real code region) fetch PCs never reach the cache or bus
+/// and the walk state is fully reset by the next `Region` record, so
+/// whole ALU batches collapse to a count without stepping the walk; real
+/// regions use the walk's closed-form batch advance — either way
+/// finalize cost is proportional to the number of *records*, not
+/// instructions.
 fn compute_fetch_runs(ops: &[u64], compressed: bool) -> Vec<u64> {
     let step: u32 = if compressed { 3 } else { 4 };
     let mut walk = FetchWalk::default();
     let mut rb = RunBuilder::new();
+    // A truncated multi-word record reads zeros here; replay reports it.
+    let word = |i: usize| ops.get(i).copied().unwrap_or(0);
     let mut i = 0;
     while i < ops.len() {
         let w = ops[i];
-        if w & 0xF == TAG_REGION {
-            walk.set_region((w >> 8) as u32, ops[i + 1] as u32);
-            i += 2;
-            continue;
+        match w & 0xF {
+            TAG_REGION => {
+                walk.set_region((w >> 8) as u32, word(i + 1) as u32);
+                i += 2;
+                continue;
+            }
+            TAG_WALK => {
+                walk = FetchWalk {
+                    code_base: (w >> 8) as u32,
+                    code_len: word(i + 1) as u32,
+                    code_pc: (word(i + 1) >> 32) as u32,
+                    window_base: word(i + 2) as u32,
+                    window_fetches: (word(i + 2) >> 32) as u32,
+                };
+                i += 3;
+                continue;
+            }
+            _ => {}
         }
         let n = fetches_of(w);
-        if walk.code_len == 4 {
+        if walk.is_ideal() {
             rb.push_ideal(n);
         } else {
             walk.advance_batch(step, n, |pc, k| rb.push_seq(pc, step, k));
@@ -643,7 +695,7 @@ impl FetchCursor<'_> {
     }
 
     fn pending_mask_slow(&mut self, core: &TimedCore) -> Result<u64, ReplayError> {
-        let step: u32 = if core.config.compressed { 3 } else { 4 };
+        let step = core.fetch_step();
         let line = core.icache.as_ref().map(|c| c.config().line_bytes);
         while self.masked < self.pending {
             let run = *self
@@ -690,7 +742,7 @@ impl FetchCursor<'_> {
 
     /// Charges every deferred fetch against `core`.
     fn flush(&mut self, core: &mut TimedCore) -> Result<(), ReplayError> {
-        let step: u32 = if core.config.compressed { 3 } else { 4 };
+        let step = core.fetch_step();
         while self.pending > 0 {
             let run = *self
                 .runs
@@ -712,111 +764,48 @@ impl FetchCursor<'_> {
                 && self.idx > 0
                 && self.runs[self.idx - 1] == run
             {
-                if let Some(cache) = core.icache.as_mut() {
-                    let line = cache.config().line_bytes;
-                    let shift = line.trailing_zeros();
-                    let last = base.wrapping_add((count - 1) * step);
-                    let distinct_lines = u64::from((last >> shift) - (base >> shift)) + 1;
-                    if last < UNCACHED_BASE && distinct_lines <= u64::from(cache.config().sets()) {
-                        cache.note_hits(u64::from(count));
-                        core.stats.instructions += u64::from(count);
-                        self.pending -= u64::from(count);
-                        self.idx += 1;
-                        continue;
-                    }
-                }
-            }
-            // Proven-resident memo: this exact record completed a full
-            // walk earlier with no intervening I-cache miss, so every
-            // line it touches is still resident. Direct-mapped caches
-            // only (no LRU state to re-touch); the geometry gates
-            // (cacheable, lines in distinct sets) were checked when the
-            // record was proven.
-            if !ideal {
-                if let Some(cache) = core.icache.as_mut() {
-                    if cache.config().ways == 1 && self.memo.proven_resident(run) {
-                        let m = u64::from(count - self.used).min(self.pending);
-                        cache.note_hits(m);
-                        core.stats.instructions += m;
-                        self.used += m as u32;
-                        self.pending -= m;
-                        if self.used == count {
-                            self.idx += 1;
-                            self.used = 0;
-                        }
-                        continue;
-                    }
+                if let Some(last_line) = recountable_last_line(core, base, count, step) {
+                    core.icache.as_mut().expect("cached").note_hits(u64::from(count));
+                    core.last_fetch_line = last_line;
+                    core.stats.instructions += u64::from(count);
+                    self.pending -= u64::from(count);
+                    self.idx += 1;
+                    continue;
                 }
             }
             let m = u64::from(count - self.used).min(self.pending);
+            let first_pc = base.wrapping_add(self.used * step);
             if ideal {
                 core.stats.cycles += m;
+            } else if let Some(cache) = core
+                .icache
+                .as_mut()
+                .filter(|c| c.config().ways == 1 && self.memo.proven_resident(run))
+            {
+                // Proven-resident memo: this exact record completed a
+                // full walk earlier with no intervening I-cache miss, so
+                // every line it touches is still resident. Direct-mapped
+                // caches only (no LRU state to re-touch); the geometry
+                // gates (cacheable, lines in distinct sets) were checked
+                // when the record was proven.
+                cache.note_hits(m);
+                let line = cache.config().line_bytes;
+                core.last_fetch_line = first_pc.wrapping_add((m as u32 - 1) * step) & !(line - 1);
             } else {
-                let first_pc = base.wrapping_add(self.used * step);
-                let cached_line = match core.icache.as_ref() {
-                    Some(cache) if first_pc < UNCACHED_BASE => Some(cache.config().line_bytes),
-                    _ => None,
-                };
-                if let Some(line) = cached_line {
-                    let whole_run = self.used == 0 && m == u64::from(count);
-                    // Line of this run's previous fetch, if any — its
-                    // first touch already did the real access, so a
-                    // continuation inside the same line is all hits.
-                    let mut prev_line = (self.used > 0)
-                        .then(|| base.wrapping_add((self.used - 1) * step) & !(line - 1));
-                    let mut pos: u64 = 0;
-                    while pos < m {
-                        let pc = base.wrapping_add((self.used + pos as u32) * step);
-                        let line_start = pc & !(line - 1);
-                        // Fetches of this stretch whose address stays
-                        // inside `line_start`'s line. `step` is 4 in the
-                        // common (non-RVC) case: keep that divide strength-
-                        // reduced, this loop runs once per fetched line.
-                        let in_line = line_start + line - pc;
-                        let chunk = u64::from(if step == 4 {
-                            (in_line + 3) >> 2
-                        } else {
-                            in_line.div_ceil(step)
-                        })
-                        .min(m - pos);
-                        if prev_line == Some(line_start) {
-                            core.icache.as_mut().expect("cached").note_hits(chunk);
-                        } else {
-                            let cache = core.icache.as_mut().expect("cached");
-                            if !cache.access(pc) {
-                                // A fill may evict a line some proven
-                                // record relies on.
-                                self.memo.invalidate_proven();
-                                let cycles = core.bus.read_cost(line_start, line)?;
-                                core.stats.cycles += cycles;
-                            }
-                            if chunk > 1 {
-                                core.icache.as_mut().expect("cached").note_hits(chunk - 1);
-                            }
-                        }
-                        prev_line = Some(line_start);
-                        pos += chunk;
-                    }
-                    // The walk just touched every line of the run: if the
-                    // geometry is safe (direct-mapped, cacheable, lines
-                    // in distinct sets), remember it as proven-resident.
-                    if whole_run {
-                        let cache = core.icache.as_ref().expect("cached");
-                        if cache.config().ways == 1 {
-                            let shift = line.trailing_zeros();
-                            let last = base.wrapping_add((count - 1) * step);
-                            let distinct = u64::from((last >> shift) - (base >> shift)) + 1;
-                            if last < UNCACHED_BASE && distinct <= u64::from(cache.config().sets())
-                            {
-                                self.memo.prove(run);
-                            }
-                        }
-                    }
-                } else {
-                    // Uncached fetches expose the full device latency;
-                    // one contiguous ascending burst prices them all.
-                    let cycles = core.bus.read_cost_run(first_pc, step, m as u32)?;
-                    core.stats.cycles += cycles;
+                if core.fetch_stretch(first_pc, step, m)? {
+                    // A fill may evict a line some proven record relies
+                    // on.
+                    self.memo.invalidate_proven();
+                }
+                // The stretch just touched every line of the run: if
+                // the geometry is safe (direct-mapped, cacheable, lines
+                // in distinct sets), remember it as proven-resident.
+                if self.used == 0
+                    && m == u64::from(count)
+                    && core.icache.as_ref().is_some_and(|c| c.config().ways == 1)
+                    && recountable_last_line(core, base, count, step).is_some()
+                {
+                    self.memo.prove(run);
                 }
             }
             core.stats.instructions += m;
@@ -838,6 +827,20 @@ impl FetchCursor<'_> {
     fn finished(&self) -> bool {
         self.pending == 0 && self.idx == self.runs.len() && self.used == 0
     }
+}
+
+/// The I-cache line of the last fetch of the `count`-fetch run at
+/// `base`, when `core` has an I-cache, every fetch of the run is
+/// cacheable and the run's lines fall in distinct sets — the geometry
+/// under which a run whose lines were all touched can be counted again
+/// as bulk hits without an LRU re-touch.
+fn recountable_last_line(core: &TimedCore, base: u32, count: u32, step: u32) -> Option<u32> {
+    let config = core.icache.as_ref()?.config();
+    let shift = config.line_bytes.trailing_zeros();
+    let last = base.wrapping_add((count - 1) * step);
+    let distinct_lines = u64::from((last >> shift) - (base >> shift)) + 1;
+    (last < UNCACHED_BASE && distinct_lines <= u64::from(config.sets()))
+        .then_some(last & !(config.line_bytes - 1))
 }
 
 /// One bus region's replay-side metadata: identity for commutation
@@ -1076,8 +1079,13 @@ impl TraceReplayer {
         let mut it = trace.ops().iter().copied();
         while let Some(w) = it.next() {
             match w & 0xF {
-                TAG_REGION => {
+                TAG_REGION | TAG_WALK => {
                     let len = it.next().ok_or(ReplayError::Mismatch("truncated region record"))?;
+                    // A walk seed's third word only feeds the fetch-run
+                    // index; replay needs its region, like `Region`.
+                    if w & 0xF == TAG_WALK {
+                        it.next().ok_or(ReplayError::Mismatch("truncated walk record"))?;
+                    }
                     cur.flush(core)?;
                     let base = (w >> 8) as u32;
                     let span = (len as u32).max(4);
@@ -1789,7 +1797,7 @@ mod tests {
 
     #[test]
     fn alu_records_merge() {
-        let mut r = TraceRecorder::new(false);
+        let mut r = TraceRecorder::new(false, FetchWalk::default());
         r.alu(3);
         r.alu(0);
         r.alu(7);
@@ -1797,6 +1805,72 @@ mod tests {
         r.mul();
         r.alu(2);
         assert_eq!(r.ops.len(), 3);
+    }
+
+    #[test]
+    fn recording_begun_mid_window_replays_exactly() {
+        // The live walk is mid-region and mid-window (700 fetches: past a
+        // WINDOW_DWELL slide) when recording starts, so the trace must
+        // seed the walk. A replay of the prefix first warms the
+        // replayer's I-cache exactly as the live core's was.
+        for (config, code) in [
+            (CpuConfig::arty_default(), 0x1000_0000),
+            (CpuConfig::arty_default().with_compressed(true), 0x1000_0000),
+            (CpuConfig::fomu_with_icache(2048), 0),
+            (CpuConfig::fomu_baseline(), 0),
+        ] {
+            let mut live = TimedCore::new(config, build_bus());
+            live.start_recording();
+            live.set_code_region(code, 1024).unwrap();
+            live.alu(700).unwrap();
+            live.mul().unwrap();
+            let prefix = live.finish_recording().expect("recording");
+            live.reset_stats();
+            live.start_recording();
+            live.alu(5).unwrap();
+            live.load_u32(0x1000_0000).unwrap();
+            live.store_u32(0x1000_0004, 1).unwrap();
+            live.call(3).unwrap();
+            live.alu(900).unwrap();
+            let trace = live.finish_recording().expect("recording");
+            assert_eq!(Trace::from_bytes(&trace.to_bytes()).as_ref(), Ok(&trace));
+
+            let mut rp = TraceReplayer::new(config, build_bus());
+            rp.replay(&prefix).unwrap();
+            let summary = rp.replay(&trace).unwrap();
+            assert_eq!(summary.stats, live.stats(), "stats diverged for {config:?}");
+            assert_eq!(rp.core().icache_stats(), live.icache_stats(), "{config:?}");
+        }
+    }
+
+    #[test]
+    fn recording_that_declares_its_region_first_has_no_walk_record() {
+        let mut live = TimedCore::new(CpuConfig::arty_default(), build_bus());
+        live.set_code_region(0x1000_0000, 1024).unwrap();
+        live.alu(300).unwrap();
+        live.start_recording();
+        live.mark_layer();
+        live.set_code_region(0x1000_0000, 1024).unwrap();
+        live.alu(5).unwrap();
+        let trace = live.finish_recording().expect("recording");
+        assert_eq!(
+            trace.ops(),
+            [TAG_MARK, TAG_REGION | (0x1000_0000 << 8), 1024, TAG_ALU | (5 << 8)]
+        );
+    }
+
+    #[test]
+    fn alu_records_never_merge_into_a_region_length() {
+        // 1025 = 0x401: its low nibble reads as the ALU tag.
+        let mut live = TimedCore::new(CpuConfig::arty_default(), build_bus());
+        live.start_recording();
+        live.set_code_region(0x1000_0000, 1025).unwrap();
+        live.alu(5).unwrap();
+        live.alu(600).unwrap();
+        let trace = live.finish_recording().expect("recording");
+        assert_eq!(trace.ops()[1..], [1025, TAG_ALU | (605 << 8)]);
+        let summary = TraceReplayer::new(CpuConfig::arty_default(), build_bus()).replay(&trace);
+        assert_eq!(summary.unwrap().stats, live.stats());
     }
 
     #[test]

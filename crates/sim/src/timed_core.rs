@@ -10,6 +10,16 @@
 //! design — which is what the paper's deploy→profile→optimize loop
 //! measures. ISS-vs-TLM agreement is validated on microkernels in the
 //! integration tests.
+//!
+//! Instruction fetches are charged in closed form. A synthetic PC
+//! ([`FetchWalk`]) walks the kernel's code region; a run of `n` fetches
+//! (an [`TimedCore::alu`] batch, a [`TimedCore::call`]) advances it by
+//! whole strictly-sequential stretches, and each stretch is charged by
+//! one routine, `TimedCore::fetch_stretch`: per I-cache line with a
+//! cache, as one bus burst without. Trace replay (`crate::retime`)
+//! charges its recorded fetch runs through the same routine, so live
+//! and replayed fetch charging are one code path, and the argument that
+//! makes the per-line charge exact lives on that routine.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -83,6 +93,11 @@ pub struct TimedCore {
     cfu: Box<dyn Cfu>,
     pub(crate) stats: TlmStats,
     pub(crate) walk: FetchWalk,
+    /// Base of the I-cache line the latest fetch touched, or
+    /// [`NO_LINE`]. Only fetches touch the I-cache, and every path that
+    /// does (live or replay) updates this, so a fetch inside this line
+    /// is a hit under [`Cache::note_hit`]'s contract.
+    pub(crate) last_fetch_line: u32,
     write_buffer: VecDeque<u64>,
     /// Trace recorder for capture mode ([`crate::Trace`]); `None` (the
     /// default) costs one branch per operation.
@@ -95,13 +110,24 @@ const CODE_WINDOW: u32 = 256;
 /// Fetches before the active window advances (≈ 8 passes over the
 /// window: inner loops re-execute, then control moves on).
 const WINDOW_DWELL: u32 = 8 * (CODE_WINDOW / 4);
+/// `code_len` of the ideal regime: no real code region declared (or one
+/// of at most 4 bytes), so every fetch is a PC-independent 1-cycle
+/// charge that never reaches the cache or bus.
+const IDEAL_CODE_LEN: u32 = 4;
+/// [`TimedCore::last_fetch_line`] before any fetch touched the I-cache
+/// (never a line base: lines are at least 4 bytes, so bases have their
+/// low bits clear).
+const NO_LINE: u32 = u32::MAX;
 
 /// The synthetic program-counter walk shared by the live [`TimedCore`]
 /// fetch path and the trace machinery (`retime.rs` regenerates the exact
 /// same fetch-address stream when compacting a captured trace into
 /// line runs). Factoring it into one type is what guarantees capture,
 /// replay and live execution agree on every fetch address.
-#[derive(Debug, Clone, Copy, Default)]
+///
+/// The default walk is the ideal regime ([`is_ideal`](Self::is_ideal)):
+/// a core used before any `set_code_region` charges 1-cycle fetches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct FetchWalk {
     pub(crate) code_base: u32,
     pub(crate) code_len: u32,
@@ -112,22 +138,41 @@ pub(crate) struct FetchWalk {
     pub(crate) window_fetches: u32,
 }
 
+impl Default for FetchWalk {
+    fn default() -> Self {
+        FetchWalk {
+            code_base: 0,
+            code_len: IDEAL_CODE_LEN,
+            code_pc: 0,
+            window_base: 0,
+            window_fetches: 0,
+        }
+    }
+}
+
 impl FetchWalk {
     /// Re-targets the walk at a fresh code region (mirrors
     /// [`TimedCore::set_code_region`], including the 4-byte floor).
     pub(crate) fn set_region(&mut self, base: u32, len: u32) {
         self.code_base = base;
-        self.code_len = len.max(4);
+        self.code_len = len.max(IDEAL_CODE_LEN);
         self.code_pc = base;
         self.window_base = base;
         self.window_fetches = 0;
     }
 
-    /// Advances one fetch of `step` bytes, returning the fetched PC and
-    /// whether this region uses the ideal 1-cycle fetch (`code_len == 4`,
-    /// i.e. no real region was declared).
+    /// Whether fetches use the ideal 1-cycle charge (no real region
+    /// declared). Ideal fetches do not depend on the PC, and the next
+    /// [`set_region`](Self::set_region) overwrites every field, so the
+    /// walk need not (and does not) advance in this regime.
     #[inline]
-    pub(crate) fn next(&mut self, step: u32) -> (u32, bool) {
+    pub(crate) fn is_ideal(&self) -> bool {
+        self.code_len == IDEAL_CODE_LEN
+    }
+
+    /// Advances one fetch of `step` bytes, returning the fetched PC.
+    #[inline]
+    pub(crate) fn next(&mut self, step: u32) -> u32 {
         let pc = self.code_pc;
         self.code_pc += step;
         let window_len = CODE_WINDOW.min(self.code_len);
@@ -143,7 +188,7 @@ impl FetchWalk {
             }
             self.code_pc = self.window_base;
         }
-        (pc, self.code_len == 4)
+        pc
     }
 
     /// Advances the walk by `n` fetches in closed form, reporting each
@@ -161,8 +206,17 @@ impl FetchWalk {
             // Fetches until (and including) the one that reaches the
             // window end, and until the dwell counter trips; both are
             // ≥ 1 because `code_pc < window_end` and
-            // `window_fetches < WINDOW_DWELL` hold between calls.
-            let to_wrap = u64::from((window_end - self.code_pc).div_ceil(step));
+            // `window_fetches < WINDOW_DWELL` hold between calls. The
+            // floor keeps a walk that breaks the first invariant (a
+            // zero-length window) from spinning: it then wraps after
+            // each fetch, as `next` does. Most runs end before the
+            // window does, which the multiply shows without a divide.
+            let gap = window_end.saturating_sub(self.code_pc);
+            let to_wrap = if (left - 1) * u64::from(step) < u64::from(gap) {
+                left
+            } else {
+                u64::from(gap.div_ceil(step)).max(1)
+            };
             let to_dwell = u64::from(WINDOW_DWELL - self.window_fetches);
             let k = left.min(to_wrap).min(to_dwell);
             emit(self.code_pc, k);
@@ -212,6 +266,7 @@ impl TimedCore {
             cfu: Box::new(cfu),
             stats: TlmStats::default(),
             walk: FetchWalk::default(),
+            last_fetch_line: NO_LINE,
             write_buffer: VecDeque::new(),
             recorder: None,
         }
@@ -291,9 +346,11 @@ impl TimedCore {
 
     /// Begins recording every subsequent charged operation into a
     /// [`crate::Trace`]. Recording is passive: charges, statistics and
-    /// functional effects are identical to an unrecorded run.
+    /// functional effects are identical to an unrecorded run. Recording
+    /// may begin anywhere, including partway through a code region's
+    /// walk: the trace then regenerates the fetch stream from there.
     pub fn start_recording(&mut self) {
-        self.recorder = Some(TraceRecorder::new(self.config.compressed));
+        self.recorder = Some(TraceRecorder::new(self.config.compressed, self.walk));
     }
 
     /// Records a layer boundary (profile granularity for replay).
@@ -314,47 +371,147 @@ impl TimedCore {
         self.stats.cycles += cycles;
     }
 
+    /// Fetch stride of the synthetic walk: RVC code is ~70% 16-bit
+    /// parcels, 3 bytes per instruction on average, which is what the
+    /// fetch stream actually pulls.
+    #[inline]
+    pub(crate) fn fetch_step(&self) -> u32 {
+        if self.config.compressed {
+            3
+        } else {
+            4
+        }
+    }
+
     /// Charges one instruction fetch at the synthetic PC.
     ///
     /// The PC loops inside a [`CODE_WINDOW`]-byte inner-loop window and
     /// the window slides through the kernel's footprint every
     /// [`WINDOW_DWELL`] fetches — matching real kernels, which re-execute
     /// small loops rather than sweeping their whole `.text` linearly.
+    /// With no code region declared every fetch is an ideal 1-cycle
+    /// charge. Otherwise the fetch is a one-fetch stretch of
+    /// [`fetch_stretch`](Self::fetch_stretch); its same-line rule (a
+    /// fetch inside the I-cache line the previous fetch touched is a
+    /// hit without a tag lookup) is checked here first, as it is the
+    /// common case of a single fetch.
     pub(crate) fn fetch(&mut self) -> Result<(), MemError> {
         self.stats.instructions += 1;
-        // RVC code is ~70% 16-bit parcels: 3 bytes per instruction on
-        // average, which is what the fetch stream actually pulls.
-        let step = if self.config.compressed { 3 } else { 4 };
-        let (pc, ideal) = self.walk.next(step);
-        if ideal {
-            // No code region declared: assume an ideal 1-cycle fetch.
+        if self.walk.is_ideal() {
             self.charge(1);
             return Ok(());
         }
-        match &mut self.icache {
-            Some(cache) if pc < UNCACHED_BASE => {
-                if cache.access(pc) {
-                    // Fetch overlaps execute when it hits; charged as part
-                    // of the consuming operation's base cycle.
-                } else {
-                    let line = cache.config().line_bytes;
-                    // The fill's bytes are never read (contents live in
-                    // the backing device): cost-only read.
-                    let cycles = self.bus.read_cost(pc & !(line - 1), line)?;
-                    self.charge(cycles);
-                }
-            }
-            _ => {
-                // Uncached fetch over the wishbone: the full device
-                // latency is exposed (no stream buffer).
-                let cycles = self.bus.read_cost(pc, step)?;
-                self.charge(cycles);
+        let step = self.fetch_step();
+        let pc = self.walk.next(step);
+        if let Some(cache) = &mut self.icache {
+            if pc & !(cache.config().line_bytes - 1) == self.last_fetch_line {
+                cache.note_hit();
+                return Ok(());
             }
         }
-        Ok(())
+        self.fetch_stretch(pc, step, 1).map(drop)
     }
 
-    /// Charges `n` plain single-cycle ALU instructions.
+    /// Charges `n` instruction fetches along the synthetic walk in closed
+    /// form: [`FetchWalk::advance_batch`] splits them into maximal
+    /// strictly-sequential stretches, each charged by
+    /// [`fetch_stretch`](Self::fetch_stretch). The charges equal `n`
+    /// calls of [`fetch`](Self::fetch). On a bus fault the walk has
+    /// still advanced by all `n` fetches and the statistics hold the
+    /// charges up to the faulting stretch.
+    fn fetch_run(&mut self, n: u64) -> Result<(), MemError> {
+        self.stats.instructions += n;
+        if self.walk.is_ideal() {
+            self.charge(n);
+            return Ok(());
+        }
+        let step = self.fetch_step();
+        let mut walk = self.walk;
+        let mut result = Ok(());
+        walk.advance_batch(step, n, |pc, k| {
+            if result.is_ok() {
+                result = self.fetch_stretch(pc, step, k).map(drop);
+            }
+        });
+        self.walk = walk;
+        result
+    }
+
+    /// Charges the `n` strictly ascending fetches `pc, pc + step, …`
+    /// (`n ≥ 1`) — the one fetch-charging routine of the crate: live
+    /// single fetches, live runs and trace replay all charge through it.
+    /// Returns whether any fetch missed the I-cache (the fill may have
+    /// evicted another line).
+    ///
+    /// With an I-cache, cacheable fetches (`pc < UNCACHED_BASE`) are
+    /// charged per line: the first fetch touching a line does the real
+    /// [`Cache::access`] (plus a line fill through [`Bus::read_cost`] on
+    /// a miss), and the rest of the stretch inside that line are counted
+    /// with [`Cache::note_hits`]. A line equal to
+    /// [`last_fetch_line`](Self::last_fetch_line) gets no access at all.
+    /// This is exact under `note_hit`'s contract: only fetches
+    /// touch the I-cache, so the previous operation on it was a touch of
+    /// the same line, which left that line resident and most recently
+    /// used; strictly ascending fetches keep it so until the stretch
+    /// leaves the line, skipping the LRU re-touch cannot change any
+    /// future hit, miss or eviction, and a TLM fetch hit charges no
+    /// cycles. Without an I-cache (or above `UNCACHED_BASE`) the stretch
+    /// is priced by one [`Bus::read_cost_run`] burst, identical to `n`
+    /// individual reads.
+    ///
+    /// Charging all of a run's fetches before its other cycles (as
+    /// [`alu`](Self::alu) and replay do) is exact because no device's
+    /// read cost depends on the cycle counter.
+    #[inline]
+    pub(crate) fn fetch_stretch(&mut self, pc: u32, step: u32, n: u64) -> Result<bool, MemError> {
+        let mut missed = false;
+        // The part of the stretch at or above `UNCACHED_BASE`, if any.
+        let mut uncached = (pc, n);
+        if let Some(cache) = self.icache.as_mut().filter(|_| pc < UNCACHED_BASE) {
+            let last = u64::from(pc) + (n - 1) * u64::from(step);
+            let cached = if last < u64::from(UNCACHED_BASE) {
+                n
+            } else {
+                u64::from((UNCACHED_BASE - pc).div_ceil(step))
+            };
+            let line = cache.config().line_bytes;
+            let last_pc = u64::from(pc) + (cached - 1) * u64::from(step);
+            let last_line = last_pc as u32 & !(line - 1);
+            // A stride never exceeds a line, so the stretch touches every
+            // line from its first to its last. The first fetch in each
+            // does the real access (a line address stands for any fetch
+            // in it), unless it is the line the previous fetch touched.
+            let mut next_line = pc & !(line - 1);
+            if next_line == self.last_fetch_line {
+                next_line += line;
+            }
+            let mut accesses = 0;
+            while next_line <= last_line {
+                accesses += 1;
+                self.last_fetch_line = next_line;
+                if !cache.access(next_line) {
+                    missed = true;
+                    // The fill's bytes are never read (contents live in
+                    // the backing device): cost-only read.
+                    self.stats.cycles += self.bus.read_cost(next_line, line)?;
+                }
+                next_line += line;
+            }
+            cache.note_hits(cached - accesses);
+            uncached = ((last_pc + u64::from(step)) as u32, n - cached);
+        }
+        if uncached.1 > 0 {
+            // Uncached fetch over the wishbone: the full device latency
+            // is exposed (no stream buffer).
+            self.stats.cycles += self.bus.read_cost_run(uncached.0, step, uncached.1 as u32)?;
+        }
+        Ok(missed)
+    }
+
+    /// Charges `n` plain single-cycle ALU instructions: `n` instruction
+    /// fetches, charged in closed form per sequential stretch of the
+    /// synthetic PC (per I-cache line, or one bus burst without a
+    /// cache), plus one cycle each.
     ///
     /// # Errors
     ///
@@ -363,32 +520,8 @@ impl TimedCore {
         if let Some(r) = &mut self.recorder {
             r.alu(n);
         }
-        self.alu_inner(n)
-    }
-
-    /// [`alu`](Self::alu) without the recording hook — used internally by
-    /// composite operations (like [`call`](Self::call)) whose recorded
-    /// form already implies the ALU work, so it must not be double-traced.
-    fn alu_inner(&mut self, n: u32) -> Result<(), MemError> {
-        // Predecoded fast path: with no code region declared
-        // (`code_len == 4`) every non-compressed fetch charges exactly 1
-        // cycle, resets `code_pc` to `window_base` (which never moves,
-        // since the window spans the whole 4-byte region) and bumps the
-        // dwell counter — so `n` iterations collapse to closed-form
-        // updates. Compressed mode is excluded: its 3-byte stride gives
-        // the PC walk a 2-fetch period this closed form would not match.
-        if self.config.decode_cache && self.walk.code_len == 4 && !self.config.compressed {
-            self.stats.instructions += u64::from(n);
-            self.charge(2 * u64::from(n));
-            self.walk.window_fetches = ((u64::from(self.walk.window_fetches) + u64::from(n))
-                % u64::from(WINDOW_DWELL)) as u32;
-            self.walk.code_pc = self.walk.window_base;
-            return Ok(());
-        }
-        for _ in 0..n {
-            self.fetch()?;
-            self.charge(1);
-        }
+        self.fetch_run(u64::from(n))?;
+        self.charge(u64::from(n));
         Ok(())
     }
 
@@ -493,13 +626,13 @@ impl TimedCore {
         if let Some(r) = &mut self.recorder {
             r.call(saved_regs);
         }
-        // jal + jalr-ret redirects.
-        self.fetch()?;
-        self.charge(2);
-        self.fetch()?;
-        self.charge(1 + self.config.refill_penalty());
-        // Stack traffic is SRAM/stack-cached: approximate 2 cycles per reg.
-        self.alu_inner(2 * saved_regs)
+        // One fetch run: the jal and the jalr-ret, then two fetches per
+        // saved register. The redirects cost 2 and 1 + refill; stack
+        // traffic is SRAM/stack-cached, approximated as 2 cycles per reg.
+        let saved = u64::from(saved_regs);
+        self.fetch_run(2 + 2 * saved)?;
+        self.charge(3 + self.config.refill_penalty() + 2 * saved);
+        Ok(())
     }
 
     fn timed_read(&mut self, addr: u32, len: u32) -> Result<u32, MemError> {
@@ -856,28 +989,271 @@ mod tests {
         assert!(slow.cycles() > fast.cycles() + 100 * 30);
     }
 
-    #[test]
-    fn batched_alu_matches_looped_fetches_exactly() {
-        // The closed-form alu() batch must leave stats AND the synthetic
-        // PC walk in exactly the state the per-fetch loop produces,
-        // including across WINDOW_DWELL boundaries and interleaved with
-        // operations that fetch one at a time.
-        let run = |fast: bool| {
-            let mut core = TimedCore::new(
-                CpuConfig::arty_default().with_decode_cache(fast),
-                bus_with_flash(SpiWidth::Quad),
-            );
-            core.set_code_region(0x1000_0000, 4).unwrap(); // minimal region → ideal fetch
-            core.alu(300).unwrap();
-            core.mul().unwrap();
-            core.alu(600).unwrap(); // crosses the 512-fetch dwell reset
-            core.branch(3, true, true).unwrap();
-            core.alu(7).unwrap();
-            core.store_u32(0x1000_4000, 1).unwrap();
-            core.alu(100).unwrap();
-            core.stats()
+    /// Per-fetch reference for the closed-form fetch charging: one
+    /// `FetchWalk::next`, `Cache::access` and `Bus::read_cost` per fetch,
+    /// as the core charged before fetches were batched.
+    fn oracle_fetch(core: &mut TimedCore) {
+        core.stats.instructions += 1;
+        if core.walk.is_ideal() {
+            core.stats.cycles += 1;
+            return;
+        }
+        let step = core.fetch_step();
+        let pc = core.walk.next(step);
+        let cycles = match &mut core.icache {
+            Some(cache) if pc < UNCACHED_BASE => {
+                let line = cache.config().line_bytes;
+                if cache.access(pc) {
+                    0
+                } else {
+                    core.bus.read_cost(pc & !(line - 1), line).unwrap()
+                }
+            }
+            _ => core.bus.read_cost(pc, step).unwrap(),
         };
-        assert_eq!(run(true), run(false));
+        core.stats.cycles += cycles;
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Alu(u32),
+        Mul,
+        Shift(u32),
+        Branch(u32, bool),
+        Call(u32),
+        Load(u32),
+        Store(u32),
+        Cfu,
+    }
+
+    /// A deterministic mix of ALU runs (1 to ~1500 fetches, so runs
+    /// cross window wraps and `WINDOW_DWELL` slides) and single-fetch ops
+    /// touching `data`.
+    fn op_mix(data: u32) -> Vec<Op> {
+        let mut x: u32 = 12345;
+        let mut ops = Vec::new();
+        for _ in 0..400 {
+            x = x.wrapping_mul(1_103_515_245).wrapping_add(12345);
+            let r = x >> 8;
+            ops.push(match r % 9 {
+                0 | 1 => Op::Alu(1 + r % 7),
+                2 => Op::Alu(1 + r % 1500),
+                3 => Op::Mul,
+                4 => Op::Shift(r % 31),
+                5 => Op::Branch(r % 5, !r.is_multiple_of(3)),
+                6 => Op::Call(r % 4),
+                7 => Op::Load(data + (r % 4096) * 4),
+                _ => Op::Store(data + (r % 4096) * 4),
+            });
+            if r.is_multiple_of(11) {
+                ops.push(Op::Cfu);
+            }
+        }
+        ops
+    }
+
+    fn run_batched(core: &mut TimedCore, ops: &[Op]) {
+        for &op in ops {
+            match op {
+                Op::Alu(n) => core.alu(n).unwrap(),
+                Op::Mul => core.mul().unwrap(),
+                Op::Shift(s) => core.shift(s).unwrap(),
+                Op::Branch(site, taken) => core.branch(site, true, taken).unwrap(),
+                Op::Call(regs) => core.call(regs).unwrap(),
+                Op::Load(a) => drop(core.load_u32(a).unwrap()),
+                Op::Store(a) => core.store_u32(a, a).unwrap(),
+                Op::Cfu => drop(core.cfu(CfuOp::new(0, 0), 1, 2).unwrap()),
+            }
+        }
+    }
+
+    fn run_oracle(core: &mut TimedCore, ops: &[Op]) {
+        for &op in ops {
+            match op {
+                Op::Alu(n) => {
+                    for _ in 0..n {
+                        oracle_fetch(core);
+                        core.charge(1);
+                    }
+                }
+                Op::Mul => {
+                    oracle_fetch(core);
+                    core.mul_cost();
+                }
+                Op::Shift(s) => {
+                    oracle_fetch(core);
+                    core.charge(core.config.shift_cycles(s));
+                }
+                Op::Branch(site, taken) => {
+                    oracle_fetch(core);
+                    core.branch_cost(site.wrapping_mul(4), -4, taken);
+                }
+                Op::Call(regs) => {
+                    oracle_fetch(core);
+                    core.charge(2);
+                    oracle_fetch(core);
+                    core.charge(1 + core.config.refill_penalty());
+                    for _ in 0..2 * regs {
+                        oracle_fetch(core);
+                        core.charge(1);
+                    }
+                }
+                Op::Load(a) => {
+                    oracle_fetch(core);
+                    core.load_cost(a, 4).unwrap();
+                }
+                Op::Store(a) => {
+                    oracle_fetch(core);
+                    core.store_cost(a, 4).unwrap();
+                }
+                Op::Cfu => {
+                    oracle_fetch(core);
+                    core.stats.cfu_ops += 1;
+                    let latency = core.cfu.execute(CfuOp::new(0, 0), 1, 2).unwrap().latency;
+                    core.charge(u64::from(latency));
+                }
+            }
+        }
+    }
+
+    /// Runs `ops` on a batched core and on the per-fetch oracle (code
+    /// region `code`, when given) and compares every statistic the
+    /// figures read, plus the walk state.
+    fn assert_matches_oracle(config: CpuConfig, bus: fn() -> Bus, code: Option<(u32, u32)>) {
+        let data = 0x1000_8000;
+        let ops = op_mix(data);
+        let [batched, oracle] = [true, false].map(|batch| {
+            let mut core = TimedCore::with_cfu(config, bus(), SimdAddCfu::new());
+            if let Some((base, len)) = code {
+                core.set_code_region(base, len).unwrap();
+            }
+            // Two passes: the second one starts mid-window on a warm
+            // I-cache.
+            for _ in 0..2 {
+                if batch {
+                    run_batched(&mut core, &ops);
+                } else {
+                    run_oracle(&mut core, &ops);
+                }
+            }
+            core
+        });
+        let what = format!("{config:?} code {code:x?}");
+        assert_eq!(batched.stats(), oracle.stats(), "TlmStats: {what}");
+        assert_eq!(batched.icache_stats(), oracle.icache_stats(), "I-cache: {what}");
+        assert_eq!(batched.dcache_stats(), oracle.dcache_stats(), "D-cache: {what}");
+        assert_eq!(batched.walk, oracle.walk, "walk: {what}");
+        for (id, info) in batched.bus().regions() {
+            assert_eq!(
+                batched.bus().stats(id),
+                oracle.bus().stats(id),
+                "bus stats of {}: {what}",
+                info.name
+            );
+        }
+        assert!(batched.stats().instructions > 50_000);
+    }
+
+    fn ddr3_bus() -> Bus {
+        let mut bus = Bus::new();
+        bus.map("ddr3", 0x4000_0000, cfu_mem::Ddr3::new(1 << 20));
+        bus.map("sram", 0x1000_0000, Sram::new(128 << 10));
+        bus
+    }
+
+    fn flash_bus() -> Bus {
+        bus_with_flash(SpiWidth::Single)
+    }
+
+    fn icache(size_bytes: u32, ways: u32, line_bytes: u32) -> CpuConfig {
+        CpuConfig {
+            icache: Some(cfu_mem::CacheConfig { size_bytes, ways, line_bytes }),
+            ..CpuConfig::arty_default()
+        }
+    }
+
+    #[test]
+    fn batched_fetches_match_the_per_fetch_oracle_on_ddr3() {
+        for config in [icache(4096, 1, 32), icache(1024, 2, 32), icache(512, 4, 16)] {
+            // Code larger than the cache: misses continue in steady state.
+            assert_matches_oracle(config, ddr3_bus, Some((0x4000_0000, 6000)));
+            assert_matches_oracle(config, ddr3_bus, Some((0x4000_0040, 700)));
+        }
+    }
+
+    #[test]
+    fn batched_fetches_match_the_per_fetch_oracle_on_rvc_line_straddles() {
+        // 3-byte strides cross 16- and 32-byte lines mid-instruction.
+        for config in [icache(1024, 2, 16), icache(2048, 1, 32)] {
+            let config = config.with_compressed(true);
+            assert_matches_oracle(config, ddr3_bus, Some((0x4000_0000, 5000)));
+            assert_matches_oracle(config, flash_bus, Some((0x10, 999)));
+        }
+    }
+
+    #[test]
+    fn batched_fetches_match_the_per_fetch_oracle_on_xip_flash() {
+        // No I-cache: every stretch is one uncached burst.
+        for config in [CpuConfig::fomu_baseline(), CpuConfig::fomu_baseline().with_compressed(true)]
+        {
+            assert_matches_oracle(config, flash_bus, Some((0, 4096)));
+            assert_matches_oracle(config, flash_bus, Some((0x1000_0000, 300)));
+        }
+    }
+
+    #[test]
+    fn batched_fetches_match_the_per_fetch_oracle_across_the_uncached_boundary() {
+        // A window straddling UNCACHED_BASE: the cached head of a stretch
+        // goes through the I-cache, the rest straight to the bus.
+        fn bus() -> Bus {
+            let mut bus = bus_with_flash(SpiWidth::Quad);
+            bus.map("io", UNCACHED_BASE - 0x1000, Sram::new(0x2000));
+            bus
+        }
+        assert_matches_oracle(icache(4096, 1, 32), bus, Some((UNCACHED_BASE - 0x60, 0x200)));
+    }
+
+    #[test]
+    fn batched_fetches_match_the_per_fetch_oracle_in_the_ideal_regime() {
+        for config in [CpuConfig::arty_default(), CpuConfig::arty_default().with_compressed(true)] {
+            assert_matches_oracle(config, ddr3_bus, Some((0x1000_0000, 4)));
+            assert_matches_oracle(config, ddr3_bus, None);
+        }
+    }
+
+    #[test]
+    fn advance_batch_on_a_zero_length_window_matches_next() {
+        // Unreachable through `set_region` (4-byte floor), but a walk
+        // with no window must still terminate, fetch by fetch as `next`.
+        let zero = FetchWalk {
+            code_base: 0x100,
+            code_pc: 0x100,
+            window_base: 0x100,
+            code_len: 0,
+            window_fetches: 0,
+        };
+        let (mut batched, mut single) = (zero, zero);
+        let mut pcs = Vec::new();
+        batched.advance_batch(4, 1000, |pc, k| pcs.extend((0..k as u32).map(|j| pc + 4 * j)));
+        let expected: Vec<u32> = (0..1000).map(|_| single.next(4)).collect();
+        assert_eq!(pcs, expected);
+        assert_eq!(batched, single);
+    }
+
+    #[test]
+    fn fresh_core_without_a_region_fetches_ideally() {
+        // Nothing is mapped at address 0: a fetch there would fault.
+        let mut bus = Bus::new();
+        bus.map("sram", 0x1000_0000, Sram::new(4096));
+        let mut core = TimedCore::with_cfu(CpuConfig::arty_default(), bus, SimdAddCfu::new());
+        core.alu(3).unwrap();
+        assert_eq!(core.cycles(), 6, "1-cycle fetch + 1-cycle ALU each");
+        let before = core.cycles();
+        assert_eq!(core.cfu(CfuOp::new(0, 0), 0x0101_0101, 0x0202_0202).unwrap(), 0x0303_0303);
+        assert!(core.cycles() > before);
+        assert_eq!(core.stats().instructions, 4);
+        assert_eq!(core.icache_stats().unwrap().accesses(), 0);
+        assert_eq!(core.bus().regions().map(|(id, _)| core.bus().stats(id).reads).sum::<u64>(), 0);
     }
 
     #[test]
